@@ -101,27 +101,4 @@ void BM_CChaseNormalizerAblation(benchmark::State& state) {
 }
 BENCHMARK(BM_CChaseNormalizerAblation)->Arg(0)->Arg(1);
 
-void BM_CChaseSemiNaiveAblation(benchmark::State& state) {
-  // Trigger-enumeration strategy for the target-tgd rounds. The employment
-  // mapping has egds but no target tgds, so this ablation measures the
-  // OVERHEAD of the delta-frontier bookkeeping on an egd-heavy workload:
-  // both arms must produce identical stats and near-identical times. (The
-  // speedup side of the ablation lives in bench_target_tgd's rounds-heavy
-  // cascade.) Arg: 1 = semi-naive, 0 = naive.
-  auto w = MakeInstance(100, 100, 0.5);
-  tdx::CChaseOptions opts;
-  opts.semi_naive = (state.range(0) == 1);
-  std::optional<tdx::CChaseOutcome> last;
-  for (auto _ : state) {
-    auto outcome = tdx::CChase(w->source, w->lifted, &w->universe, opts);
-    benchmark::DoNotOptimize(outcome);
-    if (outcome.ok()) last = std::move(outcome).value();
-  }
-  state.SetLabel(opts.semi_naive ? "semi-naive" : "naive rounds");
-  state.counters["tgd_triggers"] =
-      static_cast<double>(last->stats.tgd_triggers);
-  ReportChase(state, *last, w->source.size());
-}
-BENCHMARK(BM_CChaseSemiNaiveAblation)->Arg(1)->Arg(0);
-
 }  // namespace

@@ -47,8 +47,12 @@ void BM_CoreOfRedundantInstance(benchmark::State& state) {
       "Emp", {"name", "company", "salary"}, tdx::SchemaRole::kTarget);
   tdx::Instance instance(&schema);
   for (int person = 0; person < 20; ++person) {
-    const tdx::Value name = u.Constant("p" + std::to_string(person));
-    const tdx::Value company = u.Constant("c" + std::to_string(person % 3));
+    std::string person_name = "p";
+    person_name += std::to_string(person);
+    std::string company_name = "c";
+    company_name += std::to_string(person % 3);
+    const tdx::Value name = u.Constant(person_name);
+    const tdx::Value company = u.Constant(company_name);
     instance.Insert(emp, {name, company, u.Constant("10k")});
     for (std::int64_t k = 0; k < redundancy; ++k) {
       instance.Insert(emp, {name, company, u.FreshNull()});

@@ -9,7 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "src/relational/homomorphism.h"
 
@@ -25,13 +27,16 @@ struct Fixture {
     e = *schema.AddRelation("E", {"name", "company"}, tdx::SchemaRole::kSource);
     s = *schema.AddRelation("S", {"name", "salary"}, tdx::SchemaRole::kSource);
     instance = std::make_unique<tdx::Instance>(&schema);
+    const auto numbered = [](char prefix, std::int64_t n) {
+      std::string out(1, prefix);
+      out += std::to_string(n);
+      return out;
+    };
     for (std::int64_t i = 0; i < rows; ++i) {
-      instance->Insert(
-          e, {u.Constant("p" + std::to_string(i)),
-              u.Constant("c" + std::to_string(i % 17))});
-      instance->Insert(
-          s, {u.Constant("p" + std::to_string(i)),
-              u.Constant("s" + std::to_string(i % 23))});
+      instance->Insert(e, {u.Constant(numbered('p', i)),
+                           u.Constant(numbered('c', i % 17))});
+      instance->Insert(s, {u.Constant(numbered('p', i)),
+                           u.Constant(numbered('s', i % 23))});
     }
   }
 };

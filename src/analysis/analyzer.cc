@@ -449,11 +449,14 @@ std::string CanonConjunction(const Conjunction& conj,
                              std::unordered_map<VarId, std::size_t>* ren) {
   std::string out;
   for (const Atom& atom : conj.atoms) {
-    out += "R" + std::to_string(atom.rel) + "(";
+    out += 'R';
+    out += std::to_string(atom.rel);
+    out += '(';
     for (const Term& t : atom.terms) {
       if (t.is_var()) {
         const auto [it, unused] = ren->emplace(t.var(), ren->size());
-        out += "v" + std::to_string(it->second);
+        out += 'v';
+        out += std::to_string(it->second);
       } else {
         out += ValueKey(t.value());
       }

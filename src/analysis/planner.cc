@@ -18,7 +18,10 @@ namespace tdx {
 namespace {
 
 std::string RuleName(const std::string& label, std::size_t index) {
-  return label.empty() ? ("#" + std::to_string(index + 1)) : label;
+  if (!label.empty()) return label;
+  std::string name = "#";
+  name += std::to_string(index + 1);
+  return name;
 }
 
 /// The planner's working view of the mapping: every rule as a graph node.

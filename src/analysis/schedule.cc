@@ -83,7 +83,8 @@ std::string ChaseSchedule::ToText() const {
     out += "  stratum " + std::to_string(s) + ":";
     for (std::size_t id : strata[s]) {
       const ScheduleRule& rule = rules[id];
-      out += " " + RuleDisplay(rule);
+      out += ' ';
+      out += RuleDisplay(rule);
       if (strata[s].size() == 1 && self_loop.count(id) != 0) {
         out += " (recursive)";
       }
@@ -111,7 +112,8 @@ std::string ChaseSchedule::ToText() const {
         for (const ScheduleRule& rule : rules) {
           if (rule.kind == ScheduleRuleKind::kTargetTgd &&
               rule.index == index) {
-            out += " " + RuleDisplay(rule);
+            out += ' ';
+            out += RuleDisplay(rule);
           }
         }
       }

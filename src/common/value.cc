@@ -5,7 +5,9 @@ namespace tdx {
 Value Universe::FreshNull(std::string_view name) {
   const NullId id = next_null_++;
   if (name.empty()) {
-    null_names_.push_back("N" + std::to_string(id));
+    std::string generated = "N";
+    generated += std::to_string(id);
+    null_names_.push_back(std::move(generated));
   } else {
     null_names_.emplace_back(name);
   }

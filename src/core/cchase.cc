@@ -4,11 +4,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/analysis/planner.h"
 #include "src/analysis/termination.h"
 #include "src/common/checkpoint.h"
 #include "src/core/normalize_incremental.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace tdx {
@@ -32,72 +30,6 @@ Result<VarId> InferTemporalVar(const Conjunction& conj) {
   }
   return *t;
 }
-
-namespace {
-
-/// Run-level metrics for the c-chase, published once per run as bulk deltas
-/// of the ChaseStats the engine maintains anyway — the chase interior pays
-/// nothing per trigger. See docs/INTERNALS.md ("Observability").
-struct CChaseMetrics {
-  obs::Counter runs{"cchase.runs"};
-  obs::Counter aborts{"cchase.aborts"};
-  obs::Counter rounds{"cchase.rounds"};
-  obs::Counter tgd_triggers{"cchase.tgd_triggers"};
-  obs::Counter tgd_fires{"cchase.tgd_fires"};
-  obs::Counter egd_steps{"cchase.egd_steps"};
-  obs::Counter fresh_nulls{"cchase.fresh_nulls"};
-  obs::Counter values_rewritten{"cchase.values_rewritten"};
-  obs::Counter skipped_egd_passes{"cchase.skipped_egd_passes"};
-  obs::Counter skipped_normalize_passes{"cchase.skipped_normalize_passes"};
-  obs::Gauge strata{"cchase.schedule_strata"};
-  obs::Histogram run_us{"cchase.run_us"};
-};
-
-CChaseMetrics& GetCChaseMetrics() {
-  static auto* metrics = new CChaseMetrics();
-  return *metrics;
-}
-
-/// Publishes the run's stats deltas when the engine returns by any path.
-class CChaseRunScope {
- public:
-  CChaseRunScope(const ChaseStats* stats, const std::size_t* rounds,
-                 const ChaseResultKind* kind)
-      : stats_(stats),
-        rounds_(rounds),
-        kind_(kind),
-        entry_(*stats),
-        entry_rounds_(*rounds),
-        latency_(&GetCChaseMetrics().run_us) {}
-
-  ~CChaseRunScope() {
-    CChaseMetrics& m = GetCChaseMetrics();
-    m.runs.Inc();
-    if (*kind_ == ChaseResultKind::kAborted) m.aborts.Inc();
-    m.rounds.Inc(*rounds_ - entry_rounds_);
-    m.tgd_triggers.Inc(stats_->tgd_triggers - entry_.tgd_triggers);
-    m.tgd_fires.Inc(stats_->tgd_fires - entry_.tgd_fires);
-    m.egd_steps.Inc(stats_->egd_steps - entry_.egd_steps);
-    m.fresh_nulls.Inc(stats_->fresh_nulls - entry_.fresh_nulls);
-    m.values_rewritten.Inc(stats_->values_rewritten -
-                           entry_.values_rewritten);
-    m.skipped_egd_passes.Inc(stats_->skipped_egd_passes -
-                             entry_.skipped_egd_passes);
-    m.skipped_normalize_passes.Inc(stats_->skipped_normalize_passes -
-                                   entry_.skipped_normalize_passes);
-    m.strata.Set(stats_->schedule_strata);
-  }
-
- private:
-  const ChaseStats* stats_;
-  const std::size_t* rounds_;
-  const ChaseResultKind* kind_;
-  ChaseStats entry_;
-  std::size_t entry_rounds_;
-  obs::ScopedLatency latency_;
-};
-
-}  // namespace
 
 Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                              const Mapping& lifted, Universe* universe,
@@ -210,35 +142,14 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     return outcome;
   };
 
-  // The schedule steers only provably-no-op skips and parallel trigger
-  // collection — the fire order (and every fresh-null id and annotation) is
-  // the unscheduled one, so the config fingerprint carries no scheduling
-  // fields and checkpoints interchange between scheduled and flat runs.
-  std::optional<ChaseSchedule> derived_schedule;
-  const ChaseSchedule* schedule = nullptr;
-  if (options.scheduled) {
-    if (lifted.schedule.has_value()) {
-      schedule = &*lifted.schedule;
-    } else {
-      derived_schedule = PlanChase(lifted, source.schema());
-      schedule = &*derived_schedule;
-    }
-  }
+  // The fire order (and every fresh-null id and annotation) does not depend
+  // on the schedule, so checkpoints interchange between scheduled and flat
+  // runs.
+  const ChaseRunPlan plan =
+      PlanChaseRun(lifted, source.schema(), options.scheduled,
+                   options.semi_naive, options.jobs);
   // Derived state like the certificate: recomputed even on resume.
-  outcome.stats.schedule_strata =
-      schedule != nullptr ? schedule->stratum_count() : 0;
-  TgdRunPlan st_plan;
-  TgdRunPlan target_plan;
-  std::vector<Egd> live_egds;
-  if (schedule != nullptr) {
-    st_plan = BuildStTgdRunPlan(lifted.st_tgds, options.jobs);
-    target_plan =
-        BuildTargetTgdRunPlan(lifted.target_tgds, *schedule, options.jobs);
-    live_egds.reserve(schedule->live_egds.size());
-    for (std::size_t index : schedule->live_egds) {
-      live_egds.push_back(lifted.egds[index]);
-    }
-  }
+  outcome.stats.schedule_strata = plan.strata;
 
   // Loop-top/rounds checkpoints carry the resume round count; earlier-phase
   // checkpoints carry 0, so seeding here is correct for every phase (the
@@ -247,14 +158,15 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   std::size_t rounds = resume != nullptr ? resume->rounds : 0;
   // The stats above reflect the resume restore, so the scope's exit-time
   // deltas cover only this run's own work.
-  CChaseRunScope run_metrics(&outcome.stats, &rounds, &outcome.kind);
+  ChaseRunScope run_metrics("cchase", &outcome.stats, &rounds,
+                            &outcome.kind);
   DeltaFrontier frontier;
-  // Incremental target-normalization state (declared before the checkpoint
-  // lambda so its watermark can be captured at safe points). Stays invalid
-  // forever when the incremental path is off.
+  // Target-normalization state (declared before the checkpoint lambda so its
+  // watermark can be captured at safe points). Invalid after every pass when
+  // the incremental path is off, so each pass is a full one.
   const bool use_incremental =
       !options.use_naive_normalizer && options.incremental_normalize;
-  NormalizeState norm_state(options.jobs);
+  NormalizeState norm_state;
   // Offers a safe point to the checkpointer: everything captured is the
   // state a fresh run holds at the same point, so resume + re-execution is
   // bit-identical to the uninterrupted run.
@@ -328,13 +240,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   if (start_phase == "init" || start_phase == "st-tgd") {
     if (!guard.PokeFault("cchase/tgd-phase")) return aborted();
     TDX_TRACE_SPAN("cchase.st_tgd");
-    if (schedule != nullptr) {
-      TgdPhasePlanned(outcome.normalized_source.facts(), &target,
-                      lifted.st_tgds, st_plan, fresh, &outcome.stats, &guard);
-    } else {
-      TgdPhase(outcome.normalized_source.facts(), &target, lifted.st_tgds,
-               fresh, &outcome.stats, &guard);
-    }
+    TgdPhase(outcome.normalized_source.facts(), &target, lifted.st_tgds,
+             plan.st, fresh, &outcome.stats, &guard);
     if (guard.tripped()) return aborted();
   } else {
     target = *resume->target;
@@ -362,16 +269,14 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     if (options.use_naive_normalizer) {
       concrete_target =
           NaiveNormalize(concrete_target, &outcome.target_norm_stats, &guard);
-    } else if (use_incremental) {
-      // The state installs the output in place and re-records its
-      // watermark; egd rewrites invalidate it via the generation contract,
-      // so the next pass after a merge is automatically a full one.
-      norm_state.Normalize(&concrete_target, target_phis,
-                           &outcome.target_norm_stats, &guard);
-    } else {
-      concrete_target = Normalize(concrete_target, target_phis,
-                                  &outcome.target_norm_stats, &guard);
+      return;
     }
+    // The state installs the output in place and re-records its watermark;
+    // egd rewrites invalidate it via the generation contract, so the next
+    // pass after a merge is automatically a full one.
+    norm_state.Normalize(&concrete_target, target_phis,
+                         &outcome.target_norm_stats, &guard);
+    if (!use_incremental) norm_state.Invalidate();
   };
   // Restore the loop cursor when resuming into it; otherwise mark the first
   // materialized-target boundary.
@@ -414,23 +319,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                                   &outcome.stats.search);
   const auto run_round = [&]() {
     TDX_TRACE_SPAN("cchase.tgd_round");
-    if (schedule != nullptr) {
-      return options.semi_naive
-                 ? TargetTgdRoundDeltaPlanned(&concrete_target.mutable_facts(),
-                                              lifted.target_tgds, target_plan,
-                                              fresh, &outcome.stats, &guard,
-                                              &frontier, &round_finder)
-                 : TargetTgdRoundPlanned(&concrete_target.mutable_facts(),
-                                         lifted.target_tgds, target_plan,
-                                         fresh, &outcome.stats, &guard);
-    }
-    return options.semi_naive
-               ? TargetTgdRoundDelta(&concrete_target.mutable_facts(),
-                                     lifted.target_tgds, fresh, &outcome.stats,
-                                     &guard, &frontier, &round_finder)
-               : TargetTgdRound(&concrete_target.mutable_facts(),
-                                lifted.target_tgds, fresh, &outcome.stats,
-                                &guard);
+    return TargetTgdRound(&concrete_target.mutable_facts(), lifted.target_tgds,
+                          plan.target, fresh, &outcome.stats, &guard,
+                          &frontier, &round_finder);
   };
   // Normalization is idempotent, so the loop-top pass is a provable no-op
   // whenever the target is untouched since the last pass: nothing fired and
@@ -443,7 +334,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   bool normalized_clean = false;
   while (true) {
     if (!mid_rounds) {
-      if (schedule != nullptr && normalized_clean) {
+      if (options.scheduled && normalized_clean) {
         ++outcome.stats.skipped_normalize_passes;
         frontier.Reset();
       } else {
@@ -477,10 +368,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       if (guard.tripped()) return aborted_with_target();
     }
     const std::size_t egd_before = outcome.stats.egd_steps;
-    if (schedule != nullptr && !schedule->egd_fixpoint_live()) {
-      // Every egd is dead or effect-free: the pass would collect nothing
-      // and return success without touching the target. Count the skip
-      // only when there was a pass to skip at all.
+    if (!plan.egd_pass_live) {
+      // Count the skip only when there was a pass to skip at all.
       outcome.kind = ChaseResultKind::kSuccess;
       if (!lifted.egds.empty()) ++outcome.stats.skipped_egd_passes;
     } else {
@@ -488,10 +377,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
         return aborted_with_target();
       }
       TDX_TRACE_SPAN("cchase.egd_fixpoint");
-      outcome.kind = EgdFixpoint(
-          &concrete_target.mutable_facts(),
-          schedule != nullptr ? live_egds : lifted.egds, &outcome.stats,
-          &outcome.failure_reason, &guard);
+      outcome.kind = EgdFixpoint(&concrete_target.mutable_facts(), plan.egds,
+                                 &outcome.stats, &outcome.failure_reason,
+                                 &guard);
     }
     if (outcome.kind == ChaseResultKind::kFailure) break;
     if (outcome.kind == ChaseResultKind::kAborted) return aborted_with_target();

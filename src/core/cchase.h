@@ -46,10 +46,11 @@ struct CChaseOptions {
   /// core/normalize_incremental.h): after the first full pass, each
   /// normalize_target seeds its homomorphism sweep from the facts appended
   /// since the previous pass and re-fragments only the touched components.
-  /// Never changes the result (output is bit-identical to full passes at
-  /// any --jobs), so the checkpoint config fingerprint ignores it and
-  /// checkpoints interchange between incremental and full runs. Ignored
-  /// under use_naive_normalizer. --no-incremental-normalize in the CLI.
+  /// Off, the same pass runs with its watermark dropped, i.e. as a full
+  /// pass. Never changes the result, so the checkpoint config fingerprint
+  /// ignores it and checkpoints interchange between incremental and full
+  /// runs. Ignored under use_naive_normalizer. --no-incremental-normalize
+  /// in the CLI.
   bool incremental_normalize = true;
   /// Resource budget for the whole run (all four phases share one guard).
   /// Unlimited by default. Exhaustion yields kind == kAborted with partial
@@ -71,10 +72,12 @@ struct CChaseOptions {
   /// Consult the chase planner's schedule (see ChaseOptions::scheduled):
   /// skip dead rules, provably no-op egd fixpoints and provably no-op
   /// re-normalization passes, and collect triggers of non-interfering tgds
-  /// concurrently. Never changes the result; off = the flat engine.
+  /// together. Never changes the result; off = the trivial plan (every
+  /// rule and every pass, one tgd at a time).
   bool scheduled = true;
   /// Worker threads for parallel trigger collection (see
-  /// ChaseOptions::jobs). 1 = fully sequential.
+  /// ChaseOptions::jobs). 1 = fully sequential. Normalization always runs
+  /// on one thread.
   unsigned jobs = 1;
 };
 

@@ -20,7 +20,9 @@
 //    that co-occur in the image of some phi* with overlapping intervals,
 //    merging overlapping groups first (implemented with union-find).
 //    Polynomial for fixed Phi+, and the output never has more facts than
-//    the naive normalizer's (Figure 5 vs Figure 6).
+//    the naive normalizer's (Figure 5 vs Figure 6). It is the full pass of
+//    NormalizeState (normalize_incremental.h), whose incremental pass the
+//    c-chase uses across its target normalizations.
 //
 // Both preserve the [[.]] semantics: fragments carry the original data
 // values, and annotated nulls are re-annotated to each fragment's interval
@@ -61,18 +63,6 @@ struct NormalizeStats {
   bool partial = false;
 };
 
-/// Component labels of a normalized output, parallel to its emission order:
-/// `comp_of[i]` is the component of the i-th emitted fact (relation-major,
-/// ascending position), or kUngrouped for pass-through facts. Component ids
-/// are dense in [0, num_components). Produced on demand by Normalize so the
-/// incremental normalizer can tell which prior components a later delta
-/// touches; purely bookkeeping — no effect on the normalized instance.
-struct NormalizeLabels {
-  static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> comp_of;
-  std::uint32_t num_components = 0;
-};
-
 /// N(phi): renames the temporal position of every atom to a fresh variable,
 /// yielding phi*. Precondition: every atom's relation is temporal (the
 /// conjunction is a lifted lhs). The data variables keep their ids.
@@ -94,13 +84,13 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
 
 /// Algorithm 1, norm(Ic, Phi+). `phis` are temporal conjunctions — in the
 /// chase they are the lifted lhs of the s-t tgds or of the egds. See
-/// NaiveNormalize for the `guard` contract. When `labels` is non-null it
-/// receives the output's component labels (meaningless if the guard trips).
+/// NaiveNormalize for the `guard` contract. This is the empty-watermark
+/// pass of NormalizeState (normalize_incremental.h), which the c-chase
+/// keeps across its target passes.
 ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats = nullptr,
-                           ResourceGuard* guard = nullptr,
-                           NormalizeLabels* labels = nullptr);
+                           ResourceGuard* guard = nullptr);
 
 /// Definition 10: checks the empty intersection property of `instance`
 /// w.r.t. `phis` — by Theorem 11, equivalent to being normalized.

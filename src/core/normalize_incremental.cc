@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace tdx {
 
-using normalize_detail::EmitCopy;
 using normalize_detail::IntersectIntervals;
 
 void NormalizeState::Invalidate() {
@@ -70,7 +69,7 @@ Status NormalizeState::Restore(const Watermark& wm,
         "normalize watermark labels are not parallel to its marks");
   }
   for (const std::uint32_t label : wm.labels) {
-    if (label != NormalizeLabels::kUngrouped && label >= wm.num_components) {
+    if (label != kUngrouped && label >= wm.num_components) {
       return Status::InvalidArgument(
           "normalize watermark label out of component range");
     }
@@ -90,9 +89,7 @@ Status NormalizeState::Restore(const Watermark& wm,
   return Status::OK();
 }
 
-void NormalizeState::Record(const ConcreteInstance& instance,
-                            const std::vector<std::uint32_t>& flat,
-                            std::uint32_t num_components) {
+void NormalizeState::Record(const ConcreteInstance& instance) {
   const Instance& facts = instance.facts();
   const std::size_t num_rels = instance.schema().relation_count();
   marks_.resize(num_rels);
@@ -101,28 +98,15 @@ void NormalizeState::Record(const ConcreteInstance& instance,
   for (std::size_t r = 0; r < num_rels; ++r) {
     const std::size_t n = facts.facts(static_cast<RelationId>(r)).size();
     marks_[r] = static_cast<std::uint32_t>(n);
-    comp_of_[r].assign(flat.begin() + off, flat.begin() + off + n);
+    comp_of_[r].assign(flat_labels_.begin() + off,
+                       flat_labels_.begin() + off + n);
     off += n;
   }
-  assert(off == flat.size() && "labels must be parallel to the output");
-  num_components_ = num_components;
+  assert(off == flat_labels_.size() && "labels must be parallel to the output");
+  num_components_ = flat_components_;
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
-}
-
-void NormalizeState::FullPass(ConcreteInstance* instance,
-                              const std::vector<Conjunction>& phis,
-                              NormalizeStats* stats, ResourceGuard* guard) {
-  NormalizeLabels labels;
-  ConcreteInstance out =
-      tdx::Normalize(*instance, phis, stats, guard, &labels);
-  instance->mutable_facts() = std::move(out.mutable_facts());
-  if (guard != nullptr && guard->tripped()) {
-    Invalidate();
-    return;
-  }
-  Record(*instance, labels.comp_of, labels.num_components);
 }
 
 namespace {
@@ -153,14 +137,18 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
   NormalizeStats* pass_stats = stats != nullptr ? stats : &scratch;
   IncrementalNormMetrics& metrics = GetIncrementalNormMetrics();
   metrics.passes.Inc();
-  if (!MatchesWatermark(*instance)) {
-    metrics.full_passes.Inc();
-    FullPass(instance, phis, pass_stats, guard);
-  } else {
-    IncrementalPass(instance, phis, pass_stats, guard);
+  if (!MatchesWatermark(*instance)) metrics.full_passes.Inc();
+  Instance out(&instance->schema());
+  if (Pass(*instance, phis, pass_stats, guard, &out)) {
+    instance->mutable_facts() = std::move(out);
+    if (pass_stats->partial) {
+      Invalidate();
+    } else {
+      Record(*instance);
+    }
   }
-  // A partial (guard-tripped) pass leaves the stat fields untouched from
-  // the caller's previous pass; publishing them would double count.
+  // A partial (guard-tripped) pass's stats are garbage; publishing them
+  // would count work that produced nothing.
   if (!pass_stats->partial) {
     metrics.delta_facts.Inc(pass_stats->delta_facts);
     metrics.dirty_components.Inc(pass_stats->dirty_components);
@@ -169,21 +157,31 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
   }
 }
 
-void NormalizeState::IncrementalPass(ConcreteInstance* instance,
-                                     const std::vector<Conjunction>& phis,
-                                     NormalizeStats* stats,
-                                     ResourceGuard* guard) {
+bool NormalizeState::Pass(const ConcreteInstance& in,
+                          const std::vector<Conjunction>& phis,
+                          NormalizeStats* stats, ResourceGuard* guard,
+                          Instance* out) {
+  // Without a watermark bound to `in`, every fact is delta: the full pass.
+  const bool incremental = MatchesWatermark(in);
+  if (!incremental) Invalidate();
   if (guard != nullptr) {
     guard->ResetFragmentCount();
-    guard->PokeFault("normalize/incremental");
-    if (guard->tripped()) {
-      if (stats != nullptr) stats->partial = true;
-      Invalidate();
-      return;
-    }
+    guard->PokeFault(incremental ? "normalize/incremental"
+                                 : "normalize/algorithm1");
   }
-  const Instance& facts = instance->facts();
-  const std::size_t num_rels = instance->schema().relation_count();
+  const auto give_up = [&]() {
+    stats->partial = true;
+    Invalidate();
+    return false;
+  };
+  if (guard != nullptr && guard->tripped()) return give_up();
+
+  // Dense ids for the instance's facts: each relation column gets a base
+  // offset, and a fact's id is base + its position in the column. No
+  // hashing, no fact copies — the instance is immutable for the duration,
+  // so views stay valid throughout.
+  const Instance& facts = in.facts();
+  const std::size_t num_rels = in.schema().relation_count();
   base_.assign(num_rels, 0);
   std::size_t total = 0;
   std::size_t delta = 0;
@@ -193,23 +191,20 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     total += n;
     delta += n - MarkOf(r);
   }
-  if (delta == 0) {
+  if (incremental && delta == 0) {
     // Untouched since the last pass: the instance IS the previous output,
     // already normalized. Leave it (and the watermark) alone.
-    if (stats != nullptr) {
-      stats->input_facts = total;
-      stats->output_facts = total;
-      stats->homomorphisms = 0;
-      stats->groups = 0;
-      stats->delta_facts = 0;
-      stats->dirty_components = 0;
-      stats->reused_components = num_components_;
-      stats->partial = false;
-    }
-    return;
+    *stats = NormalizeStats{};
+    stats->input_facts = total;
+    stats->output_facts = total;
+    stats->reused_components = num_components_;
+    return false;
   }
 
   const auto dense_id = [&](FactView f) { return base_[f.relation()] + f.pos(); };
+  // `base_` is sorted, so the owning relation is the last base offset <= id;
+  // empty relations repeat their successor's offset and the upper_bound
+  // lands past all of them.
   const auto fact_at = [&](std::size_t id) {
     const auto it = std::upper_bound(base_.begin(), base_.end(), id);
     const RelationId r = static_cast<RelationId>(it - base_.begin() - 1);
@@ -217,17 +212,18 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   };
   const auto is_old = [&](FactView f) { return f.pos() < MarkOf(f.relation()); };
 
-  if (finder_bound_ != &facts) {
-    finder_.emplace(facts);
-    finder_bound_ = &facts;
-  }
-
-  // Delta-seeded sweep + transitive expansion. Seeding every atom of every
-  // phi* over its relation's delta suffix finds exactly the homs touching a
-  // new fact; each OLD fact pulled into a group is then expanded (all homs
-  // through it, single-fact seeds), so every component containing a delta
-  // fact is discovered in full. Homs found more than once only repeat a
-  // union — harmless. All-old homs never reached this way belong to clean
+  // Build S (Algorithm 1, line 3): for each phi* in N(Phi+), every
+  // homomorphic image whose fact intervals intersect forms a group; then
+  // merge groups sharing a fact (lines 4-10) — i.e., take connected
+  // components of the overlap graph, implemented with union-find.
+  //
+  // A full pass enumerates every phi* over the whole instance. An
+  // incremental pass seeds every atom of every phi* over its relation's
+  // delta suffix, finding exactly the homs touching a new fact; each OLD
+  // fact pulled into a group is then expanded (all homs through it,
+  // single-fact seeds), so every component containing a delta fact is
+  // discovered in full. Homs found more than once only repeat a union —
+  // harmless. All-old homs never reached this way belong to clean
   // components, which provably carry one shared interval (see header).
   uf_.Reset(total);
   grouped_.assign(total, 0);
@@ -235,7 +231,9 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   queue_.clear();
   std::size_t hom_count = 0;
   bool deadline_ok = true;
-  const auto on_hom = [&](const Binding&, const AtomImage& image) {
+  const HomCallback on_hom = [&](const Binding&, const AtomImage& image) {
+    // The hom sweep dominates Algorithm 1's worst case (Theorem 13), so the
+    // deadline is polled here too.
     if (guard != nullptr && !guard->CheckDeadline()) {
       deadline_ok = false;
       return false;
@@ -254,157 +252,124 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     }
     return true;
   };
+  HomomorphismFinder finder(facts);
   std::vector<Conjunction> stars;
   stars.reserve(phis.size());
   for (const Conjunction& phi : phis) stars.push_back(RenameTemporalApart(phi));
   for (const Conjunction& star : stars) {
     if (!deadline_ok) break;
+    if (!incremental) {
+      finder.ForEach(star, Binding(star.num_vars), on_hom);
+      continue;
+    }
     for (std::size_t a = 0; a < star.atoms.size() && deadline_ok; ++a) {
       const RelationId rel = star.atoms[a].rel;
       const std::uint32_t begin = MarkOf(rel);
       const std::uint32_t end =
           static_cast<std::uint32_t>(facts.facts(rel).size());
       if (begin >= end) continue;
-      finder_->ForEachSeeded(star, a, begin, end, Binding(star.num_vars),
-                             on_hom);
+      finder.ForEachSeeded(star, a, begin, end, Binding(star.num_vars),
+                           on_hom);
     }
   }
   for (std::size_t head = 0; head < queue_.size() && deadline_ok; ++head) {
-    const std::size_t id = queue_[head];
-    const FactView f = fact_at(id);
-    const RelationId rel = f.relation();
-    const std::uint32_t pos = f.pos();
+    const FactView f = fact_at(queue_[head]);
     for (const Conjunction& star : stars) {
-      if (!deadline_ok) break;
       for (std::size_t a = 0; a < star.atoms.size() && deadline_ok; ++a) {
-        if (star.atoms[a].rel != rel) continue;
-        finder_->ForEachSeeded(star, a, pos, pos + 1, Binding(star.num_vars),
-                               on_hom);
+        if (star.atoms[a].rel != f.relation()) continue;
+        finder.ForEachSeeded(star, a, f.pos(), f.pos() + 1,
+                             Binding(star.num_vars), on_hom);
       }
     }
   }
-  if (!deadline_ok || (guard != nullptr && guard->tripped())) {
-    if (stats != nullptr) stats->partial = true;
-    Invalidate();
-    return;
-  }
+  if (!deadline_ok || (guard != nullptr && guard->tripped())) return give_up();
 
-  // Cut points per dirty component, then per-fact cut vectors — resolved
-  // sequentially because Find path-compresses (the workers below must not
-  // mutate the union-find).
-  std::map<std::size_t, std::vector<TimePoint>> component_points;
-  grouped_ids_.clear();
+  // Distinct start/end points per dirty component (TP_Delta, lines 11-13),
+  // and the previous components a dirty fact belonged to.
+  struct Component {
+    std::vector<TimePoint> cuts;
+    std::uint32_t label = kUngrouped;
+  };
+  std::map<std::size_t, Component> components;
+  std::vector<char> prev_touched(num_components_, 0);
   for (std::size_t i = 0; i < total; ++i) {
     if (grouped_[i] == 0) continue;
-    grouped_ids_.push_back(i);
-    std::vector<TimePoint>& pts = component_points[uf_.Find(i)];
-    const Interval iv = fact_at(i).interval();
+    const FactView f = fact_at(i);
+    std::vector<TimePoint>& pts = components[uf_.Find(i)].cuts;
+    const Interval iv = f.interval();
     pts.push_back(iv.start());
     if (!iv.unbounded()) pts.push_back(iv.end());
+    if (is_old(f)) {
+      const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
+      if (prev != kUngrouped) prev_touched[prev] = 1;
+    }
   }
-  for (auto& [root, pts] : component_points) {
+  for (auto& [root, component] : components) {
+    std::vector<TimePoint>& pts = component.cuts;
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
-  cuts_of_.assign(grouped_ids_.size(), nullptr);
-  frag_slots_.resize(std::max(frag_slots_.size(), grouped_ids_.size()));
-  for (std::size_t k = 0; k < grouped_ids_.size(); ++k) {
-    cuts_of_[k] = &component_points.at(uf_.Find(grouped_ids_[k]));
-    frag_slots_[k].clear();
-  }
 
-  // Parallel fragmentation: pure per-fact work into private slots; no guard,
-  // no labels, no shared mutation. The sequential merge below charges the
-  // guard in dense-id order, so the charge/insert sequence — and therefore
-  // the output, even under a budget trip — is identical at any job count.
-  ParallelFor(jobs_, grouped_ids_.size(), [&](std::size_t k) {
-    AppendFragments(fact_at(grouped_ids_[k]).interval(), *cuts_of_[k],
-                    &frag_slots_[k]);
-  });
-
-  // Deterministic sequential merge. Dirty components take labels [0, d);
-  // pass-through facts keep their previous component identity, remapped
-  // densely above d. reused = previous components no dirty fact touches.
-  const std::uint32_t num_dirty =
-      static_cast<std::uint32_t>(component_points.size());
-  std::vector<char> prev_touched(num_components_, 0);
-  for (const std::size_t id : grouped_ids_) {
-    const FactView f = fact_at(id);
-    if (!is_old(f)) continue;
-    const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
-    if (prev != NormalizeLabels::kUngrouped) prev_touched[prev] = 1;
-  }
-  std::uint32_t touched_count = 0;
-  for (const char t : prev_touched) touched_count += t;
-
-  Instance out(&instance->schema());
+  // Fragment grouped facts at their component's cut points (lines 14-18);
+  // every other fact passes through unchanged. Dirty components take labels
+  // [0, d) in first-emission order; pass-through facts keep their previous
+  // component identity, remapped densely above d. Each fragment is charged
+  // to the guard before it is inserted, and labels record only the rows the
+  // Instance kept (Insert dedups).
+  const std::uint32_t num_dirty = static_cast<std::uint32_t>(components.size());
   flat_labels_.clear();
-  std::map<std::size_t, std::uint32_t> dirty_seq;
   std::map<std::uint32_t, std::uint32_t> prev_remap;
-  std::size_t next_grouped = 0;
+  std::uint32_t next_label = 0;
+  std::vector<Interval> subs;
   bool tripped = false;
   for (std::size_t i = 0; i < total && !tripped; ++i) {
     const FactView fact = fact_at(i);
-    if (next_grouped < grouped_ids_.size() && grouped_ids_[next_grouped] == i) {
-      const std::size_t k = next_grouped++;
-      std::vector<Interval>& subs = frag_slots_[k];
-      if (subs.empty()) {
-        // The pool dropped this slot's task (thread-pool/dispatch fault).
-        // The fill is a pure function of immutable inputs, so redoing it
-        // inline is sound and keeps the run deterministic.
-        AppendFragments(fact.interval(), *cuts_of_[k], &subs);
-      }
-      const std::uint32_t label =
-          dirty_seq.emplace(uf_.Find(i), static_cast<std::uint32_t>(dirty_seq.size()))
-              .first->second;
+    if (grouped_[i] != 0) {
+      Component& component = components.find(uf_.Find(i))->second;
+      if (component.label == kUngrouped) component.label = next_label++;
+      subs.clear();
+      AppendFragments(fact.interval(), component.cuts, &subs);
       for (const Interval& sub : subs) {
         if (guard != nullptr && !guard->ChargeFragment()) {
           tripped = true;
           break;
         }
-        if (out.Insert(fact.WithInterval(sub))) flat_labels_.push_back(label);
-      }
-    } else {
-      std::uint32_t label = NormalizeLabels::kUngrouped;
-      if (is_old(fact)) {
-        const std::uint32_t prev = comp_of_[fact.relation()][fact.pos()];
-        if (prev != NormalizeLabels::kUngrouped) {
-          label = prev_remap
-                      .emplace(prev,
-                               num_dirty + static_cast<std::uint32_t>(
-                                               prev_remap.size()))
-                      .first->second;
+        if (out->Insert(fact.WithInterval(sub))) {
+          flat_labels_.push_back(component.label);
         }
       }
-      if (!EmitCopy(fact, &out, guard, label, &flat_labels_)) tripped = true;
+      continue;
     }
+    std::uint32_t label = kUngrouped;
+    if (is_old(fact)) {
+      const std::uint32_t prev = comp_of_[fact.relation()][fact.pos()];
+      if (prev != kUngrouped) {
+        label = prev_remap
+                    .emplace(prev, num_dirty + static_cast<std::uint32_t>(
+                                                   prev_remap.size()))
+                    .first->second;
+      }
+    }
+    if (guard != nullptr && !guard->ChargeFragment()) {
+      tripped = true;
+      break;
+    }
+    if (out->Insert(fact)) flat_labels_.push_back(label);
   }
+  flat_components_ = num_dirty + static_cast<std::uint32_t>(prev_remap.size());
 
-  const std::size_t out_size = out.size();
-  // Reused = previous components with no member pulled into a dirty group
-  // (computed against the PREVIOUS component count, before Record replaces
-  // the watermark).
-  const std::uint32_t reused = num_components_ >= touched_count
-                                   ? num_components_ - touched_count
-                                   : 0;
-  instance->mutable_facts() = std::move(out);
-  if (tripped || (guard != nullptr && guard->tripped())) {
-    if (stats != nullptr) stats->partial = true;
-    Invalidate();
-    return;
-  }
-  Record(*instance, flat_labels_,
-         num_dirty + static_cast<std::uint32_t>(prev_remap.size()));
-  if (stats != nullptr) {
-    stats->input_facts = total;
-    stats->output_facts = out_size;
-    stats->homomorphisms = hom_count;
-    stats->groups = num_dirty;
-    stats->delta_facts = delta;
-    stats->dirty_components = num_dirty;
-    stats->reused_components = reused;
-    stats->partial = false;
-  }
+  std::uint32_t touched = 0;
+  for (const char t : prev_touched) touched += t;
+  stats->input_facts = total;
+  stats->output_facts = out->size();
+  stats->homomorphisms = hom_count;
+  stats->groups = num_dirty;
+  stats->delta_facts = delta;
+  stats->dirty_components = num_dirty;
+  // Reused = previous components no dirty fact touches.
+  stats->reused_components = num_components_ - touched;
+  stats->partial = tripped || (guard != nullptr && guard->tripped());
+  return true;
 }
 
 }  // namespace tdx

@@ -1,44 +1,47 @@
-// Incremental delta-driven normalization (the fast path of Section 4.2's
-// Algorithm 1 across c-chase rounds).
+// One normalization pass (Section 4.2's Algorithm 1), full or incremental.
 //
-// After the first full pass, every later normalize_target call sees an
-// instance that is the previous normalized output PLUS facts appended by
-// tgd rounds since. NormalizeState exploits that shape:
+// Across c-chase rounds, every normalize_target call after the first sees
+// an instance that is the previous normalized output PLUS facts appended by
+// tgd rounds since. NormalizeState runs Algorithm 1 as a single pass
+// parameterized by a *watermark* describing that shape:
 //
-//  * A *watermark* remembers, per relation, how many facts the previous
-//    output had (its prefix sizes) and the Instance generation it was
-//    recorded at. Insert only appends and does not bump the generation, so
-//    "generation unchanged and columns only grew" proves the old prefix IS
-//    the previous normalized output, verbatim. Any generation bump (egd
-//    in-place rewrite, erase, assignment) invalidates the watermark and the
-//    next pass runs the full Algorithm 1 — the generation contract of
+//  * The watermark remembers, per relation, how many facts the previous
+//    output had (its prefix sizes), the output's component labels, and the
+//    Instance generation it was recorded at. Insert only appends and does
+//    not bump the generation, so "generation unchanged and columns only
+//    grew" proves the old prefix IS the previous normalized output,
+//    verbatim. Any generation bump (egd in-place rewrite, erase,
+//    assignment) invalidates the watermark — the generation contract of
 //    relational/instance.h is the whole invalidation rule.
 //
-//  * The homomorphism sweep is seeded only from the delta suffix
+//  * With no valid watermark every fact is delta, and the pass is the full
+//    Algorithm 1: the homomorphism sweep enumerates each phi* over the whole
+//    instance. The free Normalize (normalize.h) is this case. Fault site:
+//    "normalize/algorithm1".
+//
+//  * With a watermark, the sweep is seeded only from the delta suffix
 //    (ForEachSeeded per atom over [mark, size)), finding exactly the homs
 //    that touch at least one new fact. Old facts pulled into a group are
 //    expanded transitively (all homs through them, again via single-fact
 //    seeds), so every connected component containing a delta fact is
-//    discovered in full.
+//    discovered in full. Fault site: "normalize/incremental".
 //
 //  * Components without any delta fact are provably already normalized: the
 //    old prefix has the empty intersection property, so an all-old hom with
 //    a nonempty intersection has all-equal intervals, such components carry
 //    one shared interval, and fragmenting them is the identity. Their facts
-//    are copied straight through. Dirty components are re-fragmented — in
-//    parallel across the thread pool when jobs > 1, with cut vectors
-//    resolved sequentially first and a deterministic sequential merge, so
-//    the output is bit-identical to a full Normalize at any job count.
+//    pass through unchanged, exactly like ungrouped facts; the one emission
+//    loop fragments the dirty components' facts at their cut points. The
+//    output is therefore bit-identical to a full pass.
 //
 // The output is installed in place (move-assigned into the instance's fact
 // store) and the watermark re-recorded, keeping ONE persistent state alive
-// across the whole chase loop. Fault site: "normalize/incremental".
+// across the whole chase loop.
 
 #ifndef TDX_CORE_NORMALIZE_INCREMENTAL_H_
 #define TDX_CORE_NORMALIZE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -51,20 +54,15 @@
 
 namespace tdx {
 
-/// Persistent normalization state for one chase target. Not thread-safe;
-/// the parallelism is internal (fragmentation fan-out).
+/// Persistent normalization state for one chase target. Not thread-safe.
 class NormalizeState {
  public:
-  /// `jobs` is the fragmentation fan-out width (1 = fully sequential; the
-  /// output does not depend on it).
-  explicit NormalizeState(unsigned jobs = 1) : jobs_(jobs) {}
-
   /// Normalizes `*instance` w.r.t. `phis`, replacing its fact store with
   /// the normalized output. Runs the incremental pass when the watermark
-  /// matches `*instance`, a full Algorithm 1 pass otherwise. Guard contract
-  /// as in normalize.h: on a trip the instance holds a partially normalized
-  /// result (garbage), stats->partial is set, and the state invalidates
-  /// itself.
+  /// matches `*instance`, the full pass otherwise. Guard contract as in
+  /// normalize.h: on a trip the instance holds its input or a partially
+  /// normalized result (garbage), stats->partial is set, and the state
+  /// invalidates itself.
   void Normalize(ConcreteInstance* instance,
                  const std::vector<Conjunction>& phis,
                  NormalizeStats* stats = nullptr,
@@ -99,17 +97,24 @@ class NormalizeState {
   Status Restore(const Watermark& wm, const ConcreteInstance& instance);
 
  private:
-  void FullPass(ConcreteInstance* instance,
-                const std::vector<Conjunction>& phis, NormalizeStats* stats,
-                ResourceGuard* guard);
-  void IncrementalPass(ConcreteInstance* instance,
-                       const std::vector<Conjunction>& phis,
-                       NormalizeStats* stats, ResourceGuard* guard);
-  /// Records `*instance` (just installed) as the new watermark. `flat`
-  /// holds the output's labels in emission order.
-  void Record(const ConcreteInstance& instance,
-              const std::vector<std::uint32_t>& flat,
-              std::uint32_t num_components);
+  /// Component label of a fact that belongs to no component.
+  static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
+
+  friend ConcreteInstance tdx::Normalize(const ConcreteInstance& instance,
+                                         const std::vector<Conjunction>& phis,
+                                         NormalizeStats* stats,
+                                         ResourceGuard* guard);
+
+  /// One pass over `in` into the empty `*out`: incremental when the
+  /// watermark matches `in`, full otherwise. Fills `*stats` (non-null) and
+  /// the output's labels for Record. Returns false when `in` must be kept
+  /// as is: nothing was appended since the watermark, or the guard tripped
+  /// before emission (the state is then invalidated).
+  bool Pass(const ConcreteInstance& in, const std::vector<Conjunction>& phis,
+            NormalizeStats* stats, ResourceGuard* guard, Instance* out);
+  /// Records `instance` (the last pass's output, just installed) as the new
+  /// watermark.
+  void Record(const ConcreteInstance& instance);
   /// Mark of relation `r` (0 when the schema grew past the watermark).
   std::uint32_t MarkOf(std::size_t r) const {
     return r < marks_.size() ? marks_[r] : 0;
@@ -121,25 +126,20 @@ class NormalizeState {
   std::uint64_t generation_ = 0;
   std::vector<std::uint32_t> marks_;
   /// Per-relation component labels of the previous output (positions
-  /// [0, marks_[r])); NormalizeLabels::kUngrouped for pass-through facts.
+  /// [0, marks_[r])); kUngrouped for facts in no component.
   std::vector<std::vector<std::uint32_t>> comp_of_;
   std::uint32_t num_components_ = 0;
 
   // ---- reusable machinery --------------------------------------------
-  unsigned jobs_;
-  /// One finder kept across passes: it catches up on appends and rebuilds
-  /// after the install's generation bump (homomorphism.h).
-  std::optional<HomomorphismFinder> finder_;
-  const Instance* finder_bound_ = nullptr;
   normalize_detail::UnionFind uf_;
   std::vector<char> grouped_;
   std::vector<char> enqueued_;
   std::vector<std::size_t> queue_;
   std::vector<std::size_t> base_;
-  std::vector<std::size_t> grouped_ids_;
-  std::vector<const std::vector<TimePoint>*> cuts_of_;
-  std::vector<std::vector<Interval>> frag_slots_;
+  /// The last pass's output labels in emission order, and its component
+  /// count.
   std::vector<std::uint32_t> flat_labels_;
+  std::uint32_t flat_components_ = 0;
 };
 
 }  // namespace tdx

@@ -49,9 +49,12 @@ Status UnionQuery::Validate() const {
 std::string ConjunctiveQuery::ToString(const Schema& schema,
                                        const Universe& u) const {
   auto var_name = [this](VarId v) {
-    return (v < body.var_names.size() && !body.var_names[v].empty())
-               ? body.var_names[v]
-               : ("?" + std::to_string(v));
+    if (v < body.var_names.size() && !body.var_names[v].empty()) {
+      return body.var_names[v];
+    }
+    std::string fallback = "?";
+    fallback += std::to_string(v);
+    return fallback;
   };
   std::string out = name.empty() ? "q" : name;
   out += "(";
@@ -80,7 +83,7 @@ Result<ConjunctiveQuery> LiftQuery(const ConjunctiveQuery& query,
   }
   out.body.num_vars = t_var + 1;
   out.body.var_names.resize(out.body.num_vars);
-  out.body.var_names[t_var] = "t";
+  out.body.var_names[t_var] = std::string("t");
   out.head.push_back(t_var);
   out.temporal_var = t_var;
   if (!out.name.empty()) out.name += "+";

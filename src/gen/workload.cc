@@ -706,8 +706,9 @@ std::unique_ptr<Workload> MakeCascadeWorkload(const CascadeConfig& cfg) {
   for (std::size_t k = 0; k < cfg.ballast_keys; ++k) {
     const Value key = w->universe.Constant("b" + std::to_string(k));
     for (std::size_t j = 0; j < cfg.ballast_dup; ++j) {
-      MustAdd(&w->source, sb_plus,
-              {key, w->universe.Constant("i" + std::to_string(j))}, covalid);
+      std::string item = "i";
+      item += std::to_string(j);
+      MustAdd(&w->source, sb_plus, {key, w->universe.Constant(item)}, covalid);
     }
   }
   return w;

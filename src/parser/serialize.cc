@@ -31,12 +31,16 @@ std::string RenderTerm(const Term& term, const Conjunction& conj,
     if (v < conj.var_names.size() && !conj.var_names[v].empty()) {
       return conj.var_names[v];
     }
-    return "v" + std::to_string(v);
+    std::string name = "v";
+    name += std::to_string(v);
+    return name;
   }
   assert(term.value().is_constant() &&
          "only constants are representable in dependency atoms");
-  return "\"" + std::string(u.symbols().Spelling(term.value().symbol())) +
-         "\"";
+  std::string quoted = "\"";
+  quoted += u.symbols().Spelling(term.value().symbol());
+  quoted += '"';
+  return quoted;
 }
 
 /// Renders a conjunction in the parseable format, translating closure

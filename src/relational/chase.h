@@ -23,11 +23,13 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/resource.h"
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 #include "src/relational/dependency.h"
 #include "src/relational/homomorphism.h"
 #include "src/relational/instance.h"
@@ -88,11 +90,12 @@ struct ChaseOptions {
   /// correctness oracle (tests/seminaive_chase_test.cc pins the equivalence).
   bool semi_naive = true;
   /// Consume the mapping's ChaseSchedule (deriving one when absent): skip
-  /// dead rules, skip provably no-op egd-fixpoint passes, and enable
-  /// parallel trigger collection under `jobs`. Scheduled and unscheduled
-  /// runs produce bit-identical outcomes — the schedule only removes work
-  /// the graph proves is a no-op; rule firing order never changes. Off =
-  /// the exact legacy engine, kept as the oracle.
+  /// dead rules, skip provably no-op egd-fixpoint passes, and collect the
+  /// triggers of non-interfering tgds together (in parallel under `jobs`).
+  /// Scheduled and unscheduled runs produce bit-identical outcomes — the
+  /// schedule only removes work the graph proves is a no-op; rule firing
+  /// order never changes. Off = the trivial plan (see TgdRunPlan), kept as
+  /// the oracle.
   bool scheduled = true;
   /// Worker threads for trigger collection within a provably
   /// non-interfering parallel group (ChaseSchedule::parallel_groups); 1 =
@@ -150,6 +153,17 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 // Building blocks, shared with the concrete chase (core/cchase.h), which
 // differs only in how fresh nulls are minted (interval-annotated with h(t))
 // and in the normalization steps between phases.
+//
+// Both engines run one tgd path. A TgdRunPlan lists the rules to run as
+// consecutive groups whose trigger collections commute: each group collects
+// the triggers of all its members (concurrently under `jobs`) over the
+// instance as it stands, then fires the members in declaration order. The
+// engine variants are parameters of that one path: an unscheduled run is the
+// plan of singleton groups with nothing dead, and a naive round is a round
+// whose frontier covers the whole instance and whose tgds each get a cold
+// finder. Firing is ALWAYS sequential in declaration order, which keeps
+// fresh-null identities and therefore the whole outcome bit-identical across
+// schedules and job counts.
 // ---------------------------------------------------------------------------
 
 /// Mints the value substituted for an existential variable when `tgd` fires
@@ -157,14 +171,6 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 /// concrete chase returns a fresh null annotated with trigger(t).
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
-
-/// Phase 1: fires every s-t tgd trigger from `source` into `target`
-/// (restricted chase: triggers whose head is already witnessed are skipped).
-/// Charges `guard` per fire/null/fact and stops early once it trips; the
-/// caller checks guard->tripped() to surface the abort.
-void TgdPhase(const Instance& source, Instance* target,
-              const std::vector<Tgd>& tgds, const FreshNullFactory& fresh,
-              ChaseStats* stats, ResourceGuard* guard);
 
 /// Phase 2: applies egd steps on `target` until fixpoint. Returns kFailure
 /// (and fills `failure_reason`) when an egd equates two distinct non-null
@@ -180,17 +186,6 @@ void TgdPhase(const Instance& source, Instance* target,
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
                             ResourceGuard* guard);
-
-/// One round of target-tgd firing: collects all triggers over the current
-/// target, fires those without an extension witness, and returns true if
-/// anything was inserted. Callers loop rounds to a fixpoint (guaranteed to
-/// exist for weakly acyclic target tgds) and interleave with EgdFixpoint.
-/// This is the naive round: every trigger is re-enumerated every round. It
-/// is kept as the oracle the semi-naive engine is tested (and benchmarked)
-/// against.
-bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
-                    const FreshNullFactory& fresh, ChaseStats* stats,
-                    ResourceGuard* guard);
 
 /// Per-relation delta frontier for semi-naive target-tgd rounds: facts of
 /// relation r at positions >= mark(r) form the frontier (inserted since the
@@ -234,74 +229,101 @@ class DeltaFrontier {
   std::vector<std::uint32_t> marks_;
 };
 
-/// Semi-naive round: like TargetTgdRound, but only enumerates triggers whose
-/// body image touches the frontier, and probes the restricted-chase Exists
-/// check against `finder` — a persistent HomomorphismFinder over `target`
-/// whose indexes catch up incrementally instead of being rebuilt per round.
-/// Advances `frontier` past the facts that existed at round start.
-bool TargetTgdRoundDelta(Instance* target, const std::vector<Tgd>& tgds,
-                         const FreshNullFactory& fresh, ChaseStats* stats,
-                         ResourceGuard* guard, DeltaFrontier* frontier,
-                         HomomorphismFinder* finder);
-
-// ---------------------------------------------------------------------------
-// Scheduled execution (analysis/planner.h). A TgdRunPlan is the runtime
-// form of a ChaseSchedule for one tgd vector: dead rules dropped, the rest
-// partitioned into consecutive groups whose trigger collections commute
-// (so they may fan out onto the thread pool), head-universal key variables
-// precomputed. Firing is ALWAYS sequential in declaration order — parallel
-// collection over the immutable round-start state is the only concurrency,
-// which keeps fresh-null identities and therefore the whole outcome
-// bit-identical to the flat engine at any job count.
-// ---------------------------------------------------------------------------
-
+/// The runtime form of a ChaseSchedule for one tgd vector.
 struct TgdRunPlan {
   /// Indices into the tgd vector: live rules in declaration order,
   /// partitioned into runs where no earlier member's head may feed a later
-  /// member's body (singleton groups collect sequentially).
+  /// member's body.
   std::vector<std::vector<std::size_t>> groups;
   /// Per tgd (all indices, dead included): its head-visible universal
   /// variables, precomputed once per run instead of once per round.
   std::vector<std::vector<VarId>> key_vars;
   /// Worker threads for group collection; <= 1 disables concurrency.
   unsigned jobs = 1;
+  /// Delta-driven target rounds (ChaseOptions::semi_naive). Off, every
+  /// round re-enumerates the whole instance through a cold finder per tgd:
+  /// the oracle the persistent finder's incremental index is checked
+  /// against. The s-t phase ignores it.
+  bool semi_naive = true;
 };
 
-/// Plan for the s-t tgd phase: every collection reads only the immutable
-/// source, so all tgds form one group regardless of the schedule.
-TgdRunPlan BuildStTgdRunPlan(const std::vector<Tgd>& tgds, unsigned jobs);
+/// Phase 1: fires every s-t tgd trigger from `source` into `target`
+/// (restricted chase: triggers whose head is already witnessed are skipped).
+/// Every collection reads only the immutable source, so the plan's rules
+/// run as one group. Charges `guard` per fire/null/fact and stops early
+/// once it trips; the caller checks guard->tripped() to surface the abort.
+void TgdPhase(const Instance& source, Instance* target,
+              const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
+              const FreshNullFactory& fresh, ChaseStats* stats,
+              ResourceGuard* guard);
 
-/// Plan for target-tgd rounds, from the mapping's schedule: dead rules
-/// dropped, ChaseSchedule::parallel_groups as the groups.
-TgdRunPlan BuildTargetTgdRunPlan(const std::vector<Tgd>& tgds,
-                                 const ChaseSchedule& schedule, unsigned jobs);
+/// One round of target-tgd firing over the plan's groups: collects the
+/// triggers whose body image touches `frontier`, fires those without an
+/// extension witness, advances `frontier` past the facts that existed at
+/// round start, and returns true if anything was inserted. Callers loop
+/// rounds to a fixpoint (guaranteed to exist for weakly acyclic target
+/// tgds) and interleave with EgdFixpoint. `finder` is a persistent
+/// HomomorphismFinder over `target` whose indexes catch up incrementally;
+/// naive rounds (plan.semi_naive false) reset the frontier first and use a
+/// cold finder per tgd instead.
+bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
+                    const TgdRunPlan& plan, const FreshNullFactory& fresh,
+                    ChaseStats* stats, ResourceGuard* guard,
+                    DeltaFrontier* frontier, HomomorphismFinder* finder);
 
-/// TgdPhase consuming a plan. Bit-identical to TgdPhase for every plan and
-/// job count; with jobs > 1 the per-tgd trigger collections run
-/// concurrently (each task owns a scratch finder over the source).
-void TgdPhasePlanned(const Instance& source, Instance* target,
-                     const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
-                     const FreshNullFactory& fresh, ChaseStats* stats,
-                     ResourceGuard* guard);
+/// What a chase run derives from its mapping and execution options before
+/// its first step. The schedule (the mapping's, or one derived on the spot)
+/// steers only provably-no-op skips and parallel trigger collection; the
+/// fire order, and with it every fresh-null id, is the unscheduled one, so
+/// checkpoint config strings carry no scheduling fields.
+struct ChaseRunPlan {
+  TgdRunPlan st;
+  TgdRunPlan target;
+  /// The egds the fixpoint consults: the live ones when scheduled, all of
+  /// them otherwise.
+  std::vector<Egd> egds;
+  /// False when the schedule proves every egd-fixpoint pass a no-op (every
+  /// egd dead or effect-free): such a pass would collect nothing and return
+  /// success without touching the target.
+  bool egd_pass_live = true;
+  /// ChaseStats::schedule_strata: the schedule's stratum count, 0 when
+  /// unscheduled.
+  std::size_t strata = 0;
+};
 
-/// TargetTgdRoundDelta consuming a plan: skips dead rules and collects
-/// each multi-member group concurrently over the round-start instance
-/// before firing its members in declaration order. Bit-identical to
-/// TargetTgdRoundDelta for every plan and job count.
-bool TargetTgdRoundDeltaPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                                const TgdRunPlan& plan,
-                                const FreshNullFactory& fresh,
-                                ChaseStats* stats, ResourceGuard* guard,
-                                DeltaFrontier* frontier,
-                                HomomorphismFinder* finder);
+/// Resolves the run plan of `mapping` over `schema`. `scheduled` consults
+/// (or derives) the mapping's ChaseSchedule; otherwise every rule runs.
+ChaseRunPlan PlanChaseRun(const Mapping& mapping, const Schema& schema,
+                          bool scheduled, bool semi_naive, unsigned jobs);
 
-/// TargetTgdRound (the naive oracle) consuming a plan: dead rules are
-/// skipped; collection stays sequential (the naive path exists for oracle
-/// clarity, not speed).
-bool TargetTgdRoundPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                           const TgdRunPlan& plan,
-                           const FreshNullFactory& fresh, ChaseStats* stats,
-                           ResourceGuard* guard);
+/// Publishes a run's stats deltas, round count and latency as
+/// "<prefix>.*" metrics when the engine returns by any path — success,
+/// chase failure, abort, or Status error. Published once per run, as bulk
+/// deltas of the ChaseStats the engine maintains anyway, so the chase
+/// interior pays nothing per trigger. `prefix` is "snapshot" or "cchase";
+/// only the c-chase publishes skipped_normalize_passes. See
+/// docs/INTERNALS.md ("Observability") for the name registry.
+class ChaseRunScope {
+ public:
+  ChaseRunScope(std::string_view prefix, const ChaseStats* stats,
+                const std::size_t* rounds, const ChaseResultKind* kind);
+  ~ChaseRunScope();
+  ChaseRunScope(const ChaseRunScope&) = delete;
+  ChaseRunScope& operator=(const ChaseRunScope&) = delete;
+
+ private:
+  struct Metrics;
+  /// The engine's metric handles, registered on its first run.
+  static Metrics* MetricsFor(std::string_view prefix);
+
+  Metrics* metrics_;
+  const ChaseStats* stats_;
+  const std::size_t* rounds_;
+  const ChaseResultKind* kind_;
+  ChaseStats entry_;
+  std::size_t entry_rounds_;
+  obs::ScopedLatency latency_;
+};
 
 }  // namespace tdx
 

@@ -87,9 +87,12 @@ std::string Tgd::ToString(const Schema& schema, const Universe& u) const {
     for (std::size_t i = 0; i < existential.size(); ++i) {
       if (i > 0) out += ", ";
       const VarId v = existential[i];
-      out += (v < head.var_names.size() && !head.var_names[v].empty())
-                 ? head.var_names[v]
-                 : ("?" + std::to_string(v));
+      if (v < head.var_names.size() && !head.var_names[v].empty()) {
+        out += head.var_names[v];
+      } else {
+        out += '?';
+        out += std::to_string(v);
+      }
     }
     out += ": ";
   }

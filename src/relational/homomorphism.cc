@@ -14,10 +14,12 @@ std::string Conjunction::ToString(const Schema& schema,
     for (std::size_t j = 0; j < atoms[i].terms.size(); ++j) {
       if (j > 0) out += ", ";
       const Term& t = atoms[i].terms[j];
-      if (t.is_var()) {
-        out += (t.var() < var_names.size() && !var_names[t.var()].empty())
-                   ? var_names[t.var()]
-                   : ("?" + std::to_string(t.var()));
+      if (t.is_var() && t.var() < var_names.size() &&
+          !var_names[t.var()].empty()) {
+        out += var_names[t.var()];
+      } else if (t.is_var()) {
+        out += '?';
+        out += std::to_string(t.var());
       } else {
         out += u.Render(t.value());
       }

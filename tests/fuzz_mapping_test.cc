@@ -163,29 +163,50 @@ TEST_P(FuzzMappingSweep, PlannerScheduleIsSoundOnRandomMappings) {
 }
 
 TEST_P(FuzzMappingSweep, ScheduledCChaseMatchesUnscheduled) {
-  // The schedule only removes provably no-op work: scheduled and flat runs
-  // must agree bit-for-bit on outcome, target, and chase statistics.
-  auto w_flat = MakeWorkload();
+  // The schedule only removes provably no-op work, and every engine option
+  // is a parameter of one chase path: each reference arm must agree
+  // bit-for-bit with the default engine (at 4 jobs) on outcome, target, and
+  // chase statistics.
+  struct Arm {
+    const char* name;
+    bool scheduled;
+    bool semi_naive;
+    bool incremental_normalize;
+  };
+  const Arm arms[] = {
+      {"unscheduled", false, true, true},
+      {"naive-rounds", true, false, true},
+      {"full-normalize", true, true, false},
+      {"all-off", false, false, false},
+  };
   auto w_sched = MakeWorkload();
-  CChaseOptions flat_options;
-  flat_options.scheduled = false;
   CChaseOptions sched_options;
   sched_options.jobs = 4;
-  auto flat = CChase(w_flat->source, w_flat->lifted, &w_flat->universe,
-                     flat_options);
   auto sched = CChase(w_sched->source, w_sched->lifted, &w_sched->universe,
                       sched_options);
-  ASSERT_TRUE(flat.ok()) << flat.status();
   ASSERT_TRUE(sched.ok()) << sched.status();
-  ASSERT_EQ(flat->kind, sched->kind) << "seed=" << GetParam();
-  EXPECT_EQ(RenderConcreteInstance(flat->target, w_flat->universe),
-            RenderConcreteInstance(sched->target, w_sched->universe))
-      << "seed=" << GetParam();
-  EXPECT_EQ(flat->stats.tgd_triggers, sched->stats.tgd_triggers);
-  EXPECT_EQ(flat->stats.tgd_fires, sched->stats.tgd_fires);
-  EXPECT_EQ(flat->stats.egd_steps, sched->stats.egd_steps);
-  EXPECT_EQ(flat->stats.fresh_nulls, sched->stats.fresh_nulls);
-  EXPECT_EQ(flat->stats.values_rewritten, sched->stats.values_rewritten);
+  for (const Arm& arm : arms) {
+    auto w_flat = MakeWorkload();
+    CChaseOptions flat_options;
+    flat_options.scheduled = arm.scheduled;
+    flat_options.semi_naive = arm.semi_naive;
+    flat_options.incremental_normalize = arm.incremental_normalize;
+    auto flat = CChase(w_flat->source, w_flat->lifted, &w_flat->universe,
+                       flat_options);
+    ASSERT_TRUE(flat.ok()) << flat.status();
+    ASSERT_EQ(flat->kind, sched->kind)
+        << "seed=" << GetParam() << " arm=" << arm.name;
+    EXPECT_EQ(RenderConcreteInstance(flat->target, w_flat->universe),
+              RenderConcreteInstance(sched->target, w_sched->universe))
+        << "seed=" << GetParam() << " arm=" << arm.name;
+    EXPECT_EQ(flat->stats.tgd_triggers, sched->stats.tgd_triggers)
+        << arm.name;
+    EXPECT_EQ(flat->stats.tgd_fires, sched->stats.tgd_fires) << arm.name;
+    EXPECT_EQ(flat->stats.egd_steps, sched->stats.egd_steps) << arm.name;
+    EXPECT_EQ(flat->stats.fresh_nulls, sched->stats.fresh_nulls) << arm.name;
+    EXPECT_EQ(flat->stats.values_rewritten, sched->stats.values_rewritten)
+        << arm.name;
+  }
 }
 
 // Seeds swept: [1, TDX_FUZZ_SEEDS) from the environment, default 21. PR CI

@@ -14,6 +14,7 @@
 #include <new>
 
 #include "src/relational/homomorphism.h"
+#include "tests/test_util.h"
 
 namespace {
 
@@ -43,6 +44,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tdx {
 namespace {
 
+using ::tdx::testing::Numbered;
+
 class HomAllocTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -50,10 +53,10 @@ class HomAllocTest : public ::testing::Test {
     instance_ = std::make_unique<Instance>(&schema_);
     // A small dense graph so two-atom joins have work to do.
     for (int i = 0; i < 20; ++i) {
-      instance_->Insert(e_, {u_.Constant("n" + std::to_string(i)),
-                             u_.Constant("n" + std::to_string((i + 1) % 20))});
-      instance_->Insert(e_, {u_.Constant("n" + std::to_string(i)),
-                             u_.Constant("n" + std::to_string((i + 7) % 20))});
+      instance_->Insert(e_, {u_.Constant(Numbered("n", i)),
+                             u_.Constant(Numbered("n", (i + 1) % 20))});
+      instance_->Insert(e_, {u_.Constant(Numbered("n", i)),
+                             u_.Constant(Numbered("n", (i + 7) % 20))});
     }
   }
 

@@ -4,8 +4,12 @@
 
 #include <set>
 
+#include "tests/test_util.h"
+
 namespace tdx {
 namespace {
+
+using ::tdx::testing::Numbered;
 
 class HomomorphismTest : public ::testing::Test {
  protected:
@@ -138,7 +142,7 @@ TEST_F(HomomorphismTest, InitialBindingConstrains) {
 TEST_F(HomomorphismTest, EarlyStopHaltsEnumeration) {
   Instance inst(&schema_);
   for (int i = 0; i < 10; ++i) {
-    inst.Insert(e_, {u_.Constant("p" + std::to_string(i)), u_.Constant("c")});
+    inst.Insert(e_, {u_.Constant(Numbered("p", i)), u_.Constant("c")});
   }
   Conjunction conj;
   conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Var(1)})};
@@ -211,10 +215,10 @@ TEST_F(HomomorphismTest, NullsMatchByIdentity) {
 TEST_F(HomomorphismTest, LargeInstanceJoinCount) {
   Instance inst(&schema_);
   for (int i = 0; i < 1000; ++i) {
-    inst.Insert(e_, {u_.Constant("p" + std::to_string(i)),
-                     u_.Constant("c" + std::to_string(i % 7))});
-    inst.Insert(s_, {u_.Constant("p" + std::to_string(i)),
-                     u_.Constant("s" + std::to_string(i % 11))});
+    inst.Insert(e_, {u_.Constant(Numbered("p", i)),
+                     u_.Constant(Numbered("c", i % 7))});
+    inst.Insert(s_, {u_.Constant(Numbered("p", i)),
+                     u_.Constant(Numbered("s", i % 11))});
   }
   // E(n, "c3") & S(n, s): people whose company is c3; i % 7 == 3 happens
   // 143 times for i in [0, 1000).
@@ -228,7 +232,7 @@ TEST_F(HomomorphismTest, LargeInstanceJoinCount) {
 TEST_F(HomomorphismTest, CrossProductEnumeratesAllPairs) {
   Instance inst(&schema_);
   for (int i = 0; i < 5; ++i) {
-    inst.Insert(p_, {u_.Constant("x" + std::to_string(i)), u_.Constant("y")});
+    inst.Insert(p_, {u_.Constant(Numbered("x", i)), u_.Constant("y")});
   }
   Conjunction conj;  // P(a, b) & P(c, d): 25 pairs
   conj.atoms = {MakeAtom(p_, {Term::Var(0), Term::Var(1)}),

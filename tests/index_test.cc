@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <string>
 
+#include "tests/test_util.h"
+
 namespace tdx {
 namespace {
+
+using ::tdx::testing::Numbered;
 
 class IndexTest : public ::testing::Test {
  protected:
@@ -14,9 +18,9 @@ class IndexTest : public ::testing::Test {
     e_ = *schema_.AddRelation("E", {"a", "b", "c"}, SchemaRole::kSource);
     instance_ = std::make_unique<Instance>(&schema_);
     for (int i = 0; i < 100; ++i) {
-      instance_->Insert(e_, {u_.Constant("x" + std::to_string(i % 10)),
-                             u_.Constant("y" + std::to_string(i % 5)),
-                             u_.Constant("z" + std::to_string(i))});
+      instance_->Insert(e_, {u_.Constant(Numbered("x", i % 10)),
+                             u_.Constant(Numbered("y", i % 5)),
+                             u_.Constant(Numbered("z", i))});
     }
   }
 
@@ -158,7 +162,7 @@ TEST_F(IndexTest, WideRelationFallsBackToScan) {
   Schema schema;
   std::vector<std::string> cols;
   cols.reserve(70);
-  for (int i = 0; i < 70; ++i) cols.push_back("c" + std::to_string(i));
+  for (int i = 0; i < 70; ++i) cols.push_back(Numbered("c", i));
   const RelationId wide =
       *schema.AddRelation("W", cols, SchemaRole::kSource);
   Instance inst(&schema);

@@ -37,6 +37,13 @@ inline constexpr std::string_view kPaperProgram = R"(
   query salaries(n, s): Emp(n, _, s);
 )";
 
+/// `prefix` followed by the decimal `n`, e.g. Numbered("p", 3) == "p3".
+inline std::string Numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 /// Parses or fails the test.
 inline std::unique_ptr<ParsedProgram> ParseOrDie(std::string_view text) {
   auto result = ParseProgram(text);

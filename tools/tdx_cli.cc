@@ -53,6 +53,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
@@ -86,9 +87,8 @@ constexpr int kExitUsage = 2;
 constexpr int kExitNoSolution = 3;
 constexpr int kExitAborted = 4;
 
-int Usage() {
-  std::cerr
-      << "usage: tdx_cli <command> <program-file> [args] [flags]\n"
+void PrintUsage(std::ostream& out) {
+  out << "usage: tdx_cli <command> <program-file> [args] [flags]\n"
          "commands:\n"
          "  chase      run the c-chase and print the concrete solution\n"
          "  normalize  print Algorithm-1 and naive normalizations\n"
@@ -116,7 +116,8 @@ int Usage() {
          "  --max-tokens=N        reject programs with more than N tokens\n"
          "  --max-nesting-depth=N reject atoms nested deeper than N\n"
          "  --no-lint             skip the static-analysis warnings pass\n"
-         "  --jobs=N              snapshot-parallel commands use N threads\n"
+         "  --jobs=N              threads for trigger collection and for\n"
+         "                        query-at's snapshot chases\n"
          "                        (0 = all hardware threads; default 1)\n"
          "  --stats               print chase statistics after chase/core\n"
          "  --naive-chase         disable semi-naive target-tgd rounds\n"
@@ -135,7 +136,12 @@ int Usage() {
          "  --trace-out=FILE      write a Chrome-trace JSON of the run\n"
          "                        (load in chrome://tracing or Perfetto)\n"
          "  --metrics-out=FILE    write the run's metrics snapshot as JSON\n"
+         "  -h, --help            print this message and exit\n"
          "exit codes: 0 success, 1 error, 2 usage, 3 no solution, 4 aborted\n";
+}
+
+int Usage() {
+  PrintUsage(std::cerr);
   return kExitUsage;
 }
 
@@ -679,6 +685,13 @@ int WriteObsFile(const std::string& path, const std::string& text, int code) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage(std::cout);
+      return kExitSuccess;
+    }
+  }
   CliOptions options;
   std::vector<std::string> positional;
   if (!ParseFlags(argc, argv, &options, &positional)) return Usage();
