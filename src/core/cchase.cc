@@ -271,9 +271,11 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
           NaiveNormalize(concrete_target, &outcome.target_norm_stats, &guard);
       return;
     }
-    // The state installs the output in place and re-records its watermark;
-    // egd rewrites invalidate it via the generation contract, so the next
-    // pass after a merge is automatically a full one.
+    // The state installs the output in place (or leaves the instance alone
+    // when no fact was cut) and re-records its watermark. After an egd
+    // merge the pass is seeded from the rewritten rows when the merge kept
+    // every fact in place (see the egd fixpoint below), and is a full one
+    // otherwise.
     norm_state.Normalize(&concrete_target, target_phis,
                          &outcome.target_norm_stats, &guard);
     if (!use_incremental) norm_state.Invalidate();
@@ -309,12 +311,13 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   }
 
   // Semi-naive state: one finder over the target's (address-stable) fact
-  // store for the whole loop — normalization move-assigns a fresh Instance
-  // into the same object, which bumps the generation and invalidates the
-  // finder's indexes. The frontier must re-seed with the full instance after
-  // every normalization, since fragmentation rewrites existing facts. The
-  // finder is derived state: on resume it is rebuilt over the restored
-  // target.
+  // store for the whole loop. A normalization that cuts some fact
+  // move-assigns a fresh Instance into the same object, which bumps the
+  // generation and invalidates the finder's indexes; one that cuts nothing
+  // leaves the store alone, and the indexes stay warm. The frontier
+  // re-seeds with the full instance after every normalization, since
+  // fragmentation may rewrite existing facts. The finder is derived state:
+  // on resume it is rebuilt over the restored target.
   HomomorphismFinder round_finder(concrete_target.facts(),
                                   &outcome.stats.search);
   const auto run_round = [&]() {
@@ -377,9 +380,17 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
         return aborted_with_target();
       }
       TDX_TRACE_SPAN("cchase.egd_fixpoint");
+      // A merge that rewrote facts without moving any keeps the
+      // normalization watermark: the next pass seeds from the rewritten
+      // rows instead of sweeping the whole target.
+      const bool watermark_held = norm_state.MatchesWatermark(concrete_target);
+      EgdRewriteLog rewrites;
       outcome.kind = EgdFixpoint(&concrete_target.mutable_facts(), plan.egds,
                                  &outcome.stats, &outcome.failure_reason,
-                                 &guard);
+                                 &guard, &rewrites);
+      if (watermark_held && rewrites.stable) {
+        norm_state.NoteRewrite(concrete_target, rewrites.rows);
+      }
     }
     if (outcome.kind == ChaseResultKind::kFailure) break;
     if (outcome.kind == ChaseResultKind::kAborted) return aborted_with_target();

@@ -45,7 +45,8 @@ struct CChaseOptions {
   /// Reuse normalization work across target passes (see
   /// core/normalize_incremental.h): after the first full pass, each
   /// normalize_target seeds its homomorphism sweep from the facts appended
-  /// since the previous pass and re-fragments only the touched components.
+  /// (or rewritten in place by egd merges) since the previous pass and
+  /// re-fragments only the touched components.
   /// Off, the same pass runs with its watermark dropped, i.e. as a full
   /// pass. Never changes the result, so the checkpoint config fingerprint
   /// ignores it and checkpoints interchange between incremental and full

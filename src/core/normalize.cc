@@ -68,8 +68,11 @@ ConcreteInstance Normalize(const ConcreteInstance& instance,
   NormalizeStats scratch;
   NormalizeState state;
   ConcreteInstance out(&instance.schema());
-  state.Pass(instance, phis, stats != nullptr ? stats : &scratch, guard,
-             &out.mutable_facts());
+  if (state.Pass(instance, phis, stats != nullptr ? stats : &scratch, guard,
+                 &out.mutable_facts()) ==
+      NormalizeState::PassResult::kUnchanged) {
+    return instance;
+  }
   return out;
 }
 

@@ -50,8 +50,10 @@ struct NormalizeStats {
   /// Connected components of overlapping fact groups (the merged S of
   /// Algorithm 1). Always 0 for the naive normalizer.
   std::size_t groups = 0;
-  /// Facts treated as new since the last pass. Full passes (and the naive
-  /// normalizer) count every input fact here.
+  /// Facts appended since the last pass. Full passes (and the naive
+  /// normalizer) count every input fact here; old facts an egd rewrote in
+  /// place are seeded too but not counted (see the
+  /// normalize.incremental.rewrite_seeds metric).
   std::size_t delta_facts = 0;
   /// Components re-fragmented this pass. A full pass dirties every group.
   std::size_t dirty_components = 0;
@@ -83,8 +85,9 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 ResourceGuard* guard = nullptr);
 
 /// Algorithm 1, norm(Ic, Phi+). `phis` are temporal conjunctions — in the
-/// chase they are the lifted lhs of the s-t tgds or of the egds. See
-/// NaiveNormalize for the `guard` contract. This is the empty-watermark
+/// chase they are the lifted lhs of the s-t tgds or of the egds. Returns
+/// a copy of `instance` when no fact needs cutting. See NaiveNormalize for
+/// the `guard` contract. This is the empty-watermark
 /// pass of NormalizeState (normalize_incremental.h), which the c-chase
 /// keeps across its target passes.
 ConcreteInstance Normalize(const ConcreteInstance& instance,

@@ -18,6 +18,17 @@ void NormalizeState::Invalidate() {
   marks_.clear();
   comp_of_.clear();
   num_components_ = 0;
+  rewritten_.clear();
+}
+
+void NormalizeState::NoteRewrite(const ConcreteInstance& instance,
+                                 const std::vector<FactRef>& rows) {
+  if (!valid_ || bound_ != &instance.facts()) return;
+  generation_ = instance.facts().generation();
+  // Rows past the mark are appended facts, seeded as delta anyway.
+  for (const FactRef& row : rows) {
+    if (row.pos < MarkOf(row.rel)) rewritten_.push_back(row);
+  }
 }
 
 bool NormalizeState::MatchesWatermark(const ConcreteInstance& instance) const {
@@ -36,7 +47,8 @@ bool NormalizeState::MatchesWatermark(const ConcreteInstance& instance) const {
 
 std::optional<NormalizeState::Watermark> NormalizeState::Export(
     const Instance* facts) const {
-  if (!valid_ || bound_ != facts || generation_ != facts->generation()) {
+  if (!valid_ || bound_ != facts || generation_ != facts->generation() ||
+      !rewritten_.empty()) {
     return std::nullopt;
   }
   Watermark wm;
@@ -83,6 +95,7 @@ Status NormalizeState::Restore(const Watermark& wm,
     off += mark;
   }
   num_components_ = wm.num_components;
+  rewritten_.clear();
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
@@ -104,6 +117,7 @@ void NormalizeState::Record(const ConcreteInstance& instance) {
   }
   assert(off == flat_labels_.size() && "labels must be parallel to the output");
   num_components_ = flat_components_;
+  rewritten_.clear();
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
@@ -118,6 +132,8 @@ struct IncrementalNormMetrics {
   obs::Counter dirty_components{"normalize.incremental.dirty_components"};
   obs::Counter reused_components{"normalize.incremental.reused_components"};
   obs::Counter homomorphisms{"normalize.incremental.homomorphisms"};
+  obs::Counter identity_passes{"normalize.incremental.identity_passes"};
+  obs::Counter rewrite_seeds{"normalize.incremental.rewrite_seeds"};
 };
 
 IncrementalNormMetrics& GetIncrementalNormMetrics() {
@@ -137,10 +153,15 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
   NormalizeStats* pass_stats = stats != nullptr ? stats : &scratch;
   IncrementalNormMetrics& metrics = GetIncrementalNormMetrics();
   metrics.passes.Inc();
-  if (!MatchesWatermark(*instance)) metrics.full_passes.Inc();
+  const bool incremental = MatchesWatermark(*instance);
+  if (!incremental) metrics.full_passes.Inc();
+  const std::size_t rewrite_seeds = incremental ? rewritten_.size() : 0;
   Instance out(&instance->schema());
-  if (Pass(*instance, phis, pass_stats, guard, &out)) {
+  const PassResult result = Pass(*instance, phis, pass_stats, guard, &out);
+  if (result == PassResult::kRebuilt) {
     instance->mutable_facts() = std::move(out);
+  }
+  if (result != PassResult::kKept) {
     if (pass_stats->partial) {
       Invalidate();
     } else {
@@ -154,13 +175,14 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
     metrics.dirty_components.Inc(pass_stats->dirty_components);
     metrics.reused_components.Inc(pass_stats->reused_components);
     metrics.homomorphisms.Inc(pass_stats->homomorphisms);
+    metrics.rewrite_seeds.Inc(rewrite_seeds);
+    if (result == PassResult::kUnchanged) metrics.identity_passes.Inc();
   }
 }
 
-bool NormalizeState::Pass(const ConcreteInstance& in,
-                          const std::vector<Conjunction>& phis,
-                          NormalizeStats* stats, ResourceGuard* guard,
-                          Instance* out) {
+NormalizeState::PassResult NormalizeState::Pass(
+    const ConcreteInstance& in, const std::vector<Conjunction>& phis,
+    NormalizeStats* stats, ResourceGuard* guard, Instance* out) {
   // Without a watermark bound to `in`, every fact is delta: the full pass.
   const bool incremental = MatchesWatermark(in);
   if (!incremental) Invalidate();
@@ -172,7 +194,7 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
   const auto give_up = [&]() {
     stats->partial = true;
     Invalidate();
-    return false;
+    return PassResult::kKept;
   };
   if (guard != nullptr && guard->tripped()) return give_up();
 
@@ -191,14 +213,14 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
     total += n;
     delta += n - MarkOf(r);
   }
-  if (incremental && delta == 0) {
+  if (incremental && delta == 0 && rewritten_.empty()) {
     // Untouched since the last pass: the instance IS the previous output,
     // already normalized. Leave it (and the watermark) alone.
     *stats = NormalizeStats{};
     stats->input_facts = total;
     stats->output_facts = total;
     stats->reused_components = num_components_;
-    return false;
+    return PassResult::kKept;
   }
 
   const auto dense_id = [&](FactView f) { return base_[f.relation()] + f.pos(); };
@@ -222,13 +244,25 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
   // delta suffix, finding exactly the homs touching a new fact; each OLD
   // fact pulled into a group is then expanded (all homs through it,
   // single-fact seeds), so every component containing a delta fact is
-  // discovered in full. Homs found more than once only repeat a union —
-  // harmless. All-old homs never reached this way belong to clean
+  // discovered in full. Rewritten old rows start out queued for that
+  // expansion, which finds every hom through a changed value. Homs found
+  // more than once only repeat a union — harmless. Homs never reached this
+  // way are made of unrewritten old facts only and belong to clean
   // components, which provably carry one shared interval (see header).
   uf_.Reset(total);
   grouped_.assign(total, 0);
   enqueued_.assign(total, 0);
   queue_.clear();
+  // Previous components a dirty or rewritten fact belonged to.
+  std::vector<char> prev_touched(num_components_, 0);
+  for (const FactRef& row : rewritten_) {
+    const std::size_t idx = base_[row.rel] + row.pos;
+    if (enqueued_[idx] != 0) continue;
+    enqueued_[idx] = 1;
+    queue_.push_back(idx);
+    const std::uint32_t prev = comp_of_[row.rel][row.pos];
+    if (prev != kUngrouped) prev_touched[prev] = 1;
+  }
   std::size_t hom_count = 0;
   bool deadline_ok = true;
   const HomCallback on_hom = [&](const Binding&, const AtomImage& image) {
@@ -284,14 +318,12 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
   }
   if (!deadline_ok || (guard != nullptr && guard->tripped())) return give_up();
 
-  // Distinct start/end points per dirty component (TP_Delta, lines 11-13),
-  // and the previous components a dirty fact belonged to.
+  // Distinct start/end points per dirty component (TP_Delta, lines 11-13).
   struct Component {
     std::vector<TimePoint> cuts;
     std::uint32_t label = kUngrouped;
   };
   std::map<std::size_t, Component> components;
-  std::vector<char> prev_touched(num_components_, 0);
   for (std::size_t i = 0; i < total; ++i) {
     if (grouped_[i] == 0) continue;
     const FactView f = fact_at(i);
@@ -310,58 +342,82 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
 
+  // The output equals the input unless some grouped fact has a cut strictly
+  // inside its interval: an uncut fact's one fragment is the fact itself
+  // (its nulls already carry its interval, see ConcreteInstance::Validate).
+  // Then nothing is rebuilt: the emission loop below only charges the guard
+  // and labels the facts where they stand.
+  bool identity = true;
+  for (std::size_t i = 0; i < total && identity; ++i) {
+    if (grouped_[i] == 0) continue;
+    const FactView fact = fact_at(i);
+    const std::vector<TimePoint>& cuts =
+        components.find(uf_.Find(i))->second.cuts;
+    const auto next_cut =
+        std::upper_bound(cuts.begin(), cuts.end(), fact.interval().start());
+    identity = next_cut == cuts.end() || *next_cut >= fact.interval().end();
+  }
+
   // Fragment grouped facts at their component's cut points (lines 14-18);
   // every other fact passes through unchanged. Dirty components take labels
   // [0, d) in first-emission order; pass-through facts keep their previous
   // component identity, remapped densely above d. Each fragment is charged
-  // to the guard before it is inserted, and labels record only the rows the
-  // Instance kept (Insert dedups).
+  // to the guard before it is inserted (an identity pass charges one per
+  // fact, as its rebuild would), and labels record only the rows the
+  // Instance kept (Insert dedups; an identity pass keeps every row).
   const std::uint32_t num_dirty = static_cast<std::uint32_t>(components.size());
   flat_labels_.clear();
-  std::map<std::uint32_t, std::uint32_t> prev_remap;
+  std::vector<std::uint32_t> prev_remap(num_components_, kUngrouped);
+  std::uint32_t num_reused = 0;
   std::uint32_t next_label = 0;
   std::vector<Interval> subs;
   bool tripped = false;
-  for (std::size_t i = 0; i < total && !tripped; ++i) {
-    const FactView fact = fact_at(i);
-    if (grouped_[i] != 0) {
-      Component& component = components.find(uf_.Find(i))->second;
-      if (component.label == kUngrouped) component.label = next_label++;
-      subs.clear();
-      AppendFragments(fact.interval(), component.cuts, &subs);
-      for (const Interval& sub : subs) {
-        if (guard != nullptr && !guard->ChargeFragment()) {
-          tripped = true;
-          break;
+  for (RelationId r = 0; r < num_rels && !tripped; ++r) {
+    const FactColumn column = facts.facts(r);
+    for (std::uint32_t pos = 0; pos < column.size() && !tripped; ++pos) {
+      const std::size_t i = base_[r] + pos;
+      const FactView fact = column[pos];
+      std::uint32_t label = kUngrouped;
+      if (grouped_[i] != 0) {
+        Component& component = components.find(uf_.Find(i))->second;
+        if (component.label == kUngrouped) component.label = next_label++;
+        label = component.label;
+        if (!identity) {
+          subs.clear();
+          AppendFragments(fact.interval(), component.cuts, &subs);
+          for (const Interval& sub : subs) {
+            if (guard != nullptr && !guard->ChargeFragment()) {
+              tripped = true;
+              break;
+            }
+            if (out->Insert(fact.WithInterval(sub))) {
+              flat_labels_.push_back(label);
+            }
+          }
+          continue;
         }
-        if (out->Insert(fact.WithInterval(sub))) {
-          flat_labels_.push_back(component.label);
+      } else if (pos < MarkOf(r)) {
+        const std::uint32_t prev = comp_of_[r][pos];
+        if (prev != kUngrouped) {
+          if (prev_remap[prev] == kUngrouped) {
+            prev_remap[prev] = num_dirty + num_reused++;
+          }
+          label = prev_remap[prev];
         }
       }
-      continue;
-    }
-    std::uint32_t label = kUngrouped;
-    if (is_old(fact)) {
-      const std::uint32_t prev = comp_of_[fact.relation()][fact.pos()];
-      if (prev != kUngrouped) {
-        label = prev_remap
-                    .emplace(prev, num_dirty + static_cast<std::uint32_t>(
-                                                   prev_remap.size()))
-                    .first->second;
+      if (guard != nullptr && !guard->ChargeFragment()) {
+        tripped = true;
+        break;
       }
+      if (identity || out->Insert(fact)) flat_labels_.push_back(label);
     }
-    if (guard != nullptr && !guard->ChargeFragment()) {
-      tripped = true;
-      break;
-    }
-    if (out->Insert(fact)) flat_labels_.push_back(label);
   }
-  flat_components_ = num_dirty + static_cast<std::uint32_t>(prev_remap.size());
+  flat_components_ = num_dirty + num_reused;
 
   std::uint32_t touched = 0;
   for (const char t : prev_touched) touched += t;
   stats->input_facts = total;
-  stats->output_facts = out->size();
+  stats->output_facts = identity ? total : out->size();
   stats->homomorphisms = hom_count;
   stats->groups = num_dirty;
   stats->delta_facts = delta;
@@ -369,7 +425,7 @@ bool NormalizeState::Pass(const ConcreteInstance& in,
   // Reused = previous components no dirty fact touches.
   stats->reused_components = num_components_ - touched;
   stats->partial = tripped || (guard != nullptr && guard->tripped());
-  return true;
+  return identity ? PassResult::kUnchanged : PassResult::kRebuilt;
 }
 
 }  // namespace tdx

@@ -2,7 +2,8 @@
 //
 // Across c-chase rounds, every normalize_target call after the first sees
 // an instance that is the previous normalized output PLUS facts appended by
-// tgd rounds since. NormalizeState runs Algorithm 1 as a single pass
+// tgd rounds since, some of its old facts perhaps rewritten in place by egd
+// merges. NormalizeState runs Algorithm 1 as a single pass
 // parameterized by a *watermark* describing that shape:
 //
 //  * The watermark remembers, per relation, how many facts the previous
@@ -10,9 +11,17 @@
 //    Instance generation it was recorded at. Insert only appends and does
 //    not bump the generation, so "generation unchanged and columns only
 //    grew" proves the old prefix IS the previous normalized output,
-//    verbatim. Any generation bump (egd in-place rewrite, erase,
-//    assignment) invalidates the watermark — the generation contract of
-//    relational/instance.h is the whole invalidation rule.
+//    verbatim. Any other generation bump (erase, assignment, an egd
+//    rewrite nobody reported) invalidates the watermark — the generation
+//    contract of relational/instance.h is the invalidation rule.
+//
+//  * An egd merge that rewrote facts in place without moving any
+//    (EgdRewriteLog::stable, relational/chase.h) keeps the watermark:
+//    NoteRewrite rebinds it to the post-rewrite generation and queues the
+//    rewritten old rows as extra seeds. A rewrite changes data values,
+//    never intervals, so every hom made only of unrewritten old facts
+//    existed in the previous output; the homs through a rewritten row are
+//    found by seeding from it, exactly as for an appended fact.
 //
 //  * With no valid watermark every fact is delta, and the pass is the full
 //    Algorithm 1: the homomorphism sweep enumerates each phi* over the whole
@@ -20,23 +29,28 @@
 //    "normalize/algorithm1".
 //
 //  * With a watermark, the sweep is seeded only from the delta suffix
-//    (ForEachSeeded per atom over [mark, size)), finding exactly the homs
-//    that touch at least one new fact. Old facts pulled into a group are
-//    expanded transitively (all homs through them, again via single-fact
-//    seeds), so every connected component containing a delta fact is
-//    discovered in full. Fault site: "normalize/incremental".
+//    (ForEachSeeded per atom over [mark, size)) and from rewritten rows,
+//    finding exactly the homs that touch at least one new or rewritten
+//    fact. Old facts pulled into a group are expanded transitively (all
+//    homs through them, again via single-fact seeds), so every connected
+//    component containing such a fact is discovered in full. Fault site:
+//    "normalize/incremental".
 //
-//  * Components without any delta fact are provably already normalized: the
-//    old prefix has the empty intersection property, so an all-old hom with
-//    a nonempty intersection has all-equal intervals, such components carry
-//    one shared interval, and fragmenting them is the identity. Their facts
-//    pass through unchanged, exactly like ungrouped facts; the one emission
-//    loop fragments the dirty components' facts at their cut points. The
-//    output is therefore bit-identical to a full pass.
+//  * Components without any delta or rewritten fact are provably already
+//    normalized: the old prefix has the empty intersection property, so an
+//    all-old hom with a nonempty intersection has all-equal intervals, such
+//    components carry one shared interval, and fragmenting them is the
+//    identity. Their facts pass through unchanged, exactly like ungrouped
+//    facts; the one emission loop fragments the dirty components' facts at
+//    their cut points. The output is therefore bit-identical to a full
+//    pass.
 //
-// The output is installed in place (move-assigned into the instance's fact
-// store) and the watermark re-recorded, keeping ONE persistent state alive
-// across the whole chase loop.
+// When no grouped fact has a cut strictly inside its interval, the output
+// equals the input and the pass installs nothing: the instance is left as
+// it is (its generation does not bump, so indexes over it stay warm) and
+// only the watermark is re-recorded. Otherwise the output is move-assigned
+// into the instance's fact store. Either way ONE persistent state stays
+// alive across the whole chase loop.
 
 #ifndef TDX_CORE_NORMALIZE_INCREMENTAL_H_
 #define TDX_CORE_NORMALIZE_INCREMENTAL_H_
@@ -58,7 +72,8 @@ namespace tdx {
 class NormalizeState {
  public:
   /// Normalizes `*instance` w.r.t. `phis`, replacing its fact store with
-  /// the normalized output. Runs the incremental pass when the watermark
+  /// the normalized output, or leaving it untouched (generation included)
+  /// when no fact needs cutting. Runs the incremental pass when the watermark
   /// matches `*instance`, the full pass otherwise. Guard contract as in
   /// normalize.h: on a trip the instance holds its input or a partially
   /// normalized result (garbage), stats->partial is set, and the state
@@ -70,6 +85,15 @@ class NormalizeState {
 
   /// Drops the watermark; the next pass is a full one. Idempotent.
   void Invalidate();
+
+  /// Carries the watermark across an in-place egd rewrite of `instance`.
+  /// `rows` must name every fact the rewrite changed, at positions that did
+  /// not move (a stable EgdRewriteLog), and the watermark must have matched
+  /// `instance` immediately before the rewrite. Rebinds the watermark to
+  /// the post-rewrite generation and queues the rewritten old rows as seeds
+  /// of the next pass.
+  void NoteRewrite(const ConcreteInstance& instance,
+                   const std::vector<FactRef>& rows);
 
   /// True when the next Normalize of `instance` would take the incremental
   /// path (watermark bound to it, generation unchanged, columns only grew).
@@ -85,10 +109,12 @@ class NormalizeState {
   };
 
   /// Exports the watermark when it is currently valid for `facts` (same
-  /// binding, same generation — i.e. the old-prefix proof still holds);
-  /// nullopt otherwise. Checkpoints taken after an egd rewrite therefore
-  /// carry no watermark and resume with a full pass, exactly like the
-  /// uninterrupted run.
+  /// binding, same generation — i.e. the old-prefix proof still holds) and
+  /// no rewritten rows are pending; nullopt otherwise. The checkpoint format
+  /// has no room for pending rows, so a checkpoint taken between an egd
+  /// rewrite and the next pass carries no watermark and resumes with a full
+  /// pass, whose output is identical to the uninterrupted run's
+  /// rewrite-seeded pass.
   std::optional<Watermark> Export(const Instance* facts) const;
 
   /// Rebinds a checkpointed watermark to a freshly deserialized instance.
@@ -105,15 +131,23 @@ class NormalizeState {
                                          NormalizeStats* stats,
                                          ResourceGuard* guard);
 
+  enum class PassResult {
+    /// `*out` holds the output; the labels are filled for Record.
+    kRebuilt,
+    /// The output equals `in` (no fact was cut), `*out` is untouched; the
+    /// labels are filled for Record.
+    kUnchanged,
+    /// Nothing to record: `in` is untouched since the watermark, or the
+    /// guard tripped before emission (the state is then invalidated).
+    kKept,
+  };
   /// One pass over `in` into the empty `*out`: incremental when the
-  /// watermark matches `in`, full otherwise. Fills `*stats` (non-null) and
-  /// the output's labels for Record. Returns false when `in` must be kept
-  /// as is: nothing was appended since the watermark, or the guard tripped
-  /// before emission (the state is then invalidated).
-  bool Pass(const ConcreteInstance& in, const std::vector<Conjunction>& phis,
-            NormalizeStats* stats, ResourceGuard* guard, Instance* out);
-  /// Records `instance` (the last pass's output, just installed) as the new
-  /// watermark.
+  /// watermark matches `in`, full otherwise. Fills `*stats` (non-null).
+  PassResult Pass(const ConcreteInstance& in,
+                  const std::vector<Conjunction>& phis, NormalizeStats* stats,
+                  ResourceGuard* guard, Instance* out);
+  /// Records `instance` (the last pass's output, now in place) as the new
+  /// watermark and drops the pending rewritten rows.
   void Record(const ConcreteInstance& instance);
   /// Mark of relation `r` (0 when the schema grew past the watermark).
   std::uint32_t MarkOf(std::size_t r) const {
@@ -129,6 +163,9 @@ class NormalizeState {
   /// [0, marks_[r])); kUngrouped for facts in no component.
   std::vector<std::vector<std::uint32_t>> comp_of_;
   std::uint32_t num_components_ = 0;
+  /// Old rows rewritten in place since the watermark was recorded (see
+  /// NoteRewrite); the next pass seeds from them.
+  std::vector<FactRef> rewritten_;
 
   // ---- reusable machinery --------------------------------------------
   normalize_detail::UnionFind uf_;

@@ -93,6 +93,14 @@ ChaseRunScope::~ChaseRunScope() {
 
 namespace {
 
+bool FactRefLess(const FactRef& a, const FactRef& b) {
+  return a.rel != b.rel ? a.rel < b.rel : a.pos < b.pos;
+}
+
+bool FactRefEqual(const FactRef& a, const FactRef& b) {
+  return a.rel == b.rel && a.pos == b.pos;
+}
+
 /// Universally quantified variables that occur in the head. Two triggers
 /// that agree on these produce interchangeable head images, so they are
 /// deduplicated before firing.
@@ -344,7 +352,8 @@ ChaseRunPlan PlanChaseRun(const Mapping& mapping, const Schema& schema,
 
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
-                            ResourceGuard* guard) {
+                            ResourceGuard* guard, EgdRewriteLog* log) {
+  if (log != nullptr) *log = EgdRewriteLog{};
   // Batched passes: collect every violated equality, merge the equivalence
   // classes with union-find, substitute, repeat. This is equivalent to
   // applying egd steps one at a time (the egd chase is confluent up to null
@@ -383,7 +392,15 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                        });
       }
     }
-    if (pairs.empty()) return ChaseResultKind::kSuccess;
+    if (pairs.empty()) {
+      if (log != nullptr && log->stable) {
+        std::sort(log->rows.begin(), log->rows.end(), FactRefLess);
+        log->rows.erase(std::unique(log->rows.begin(), log->rows.end(),
+                                    FactRefEqual),
+                        log->rows.end());
+      }
+      return ChaseResultKind::kSuccess;
+    }
 
     // ---- union-find over the values involved -----------------------------
     std::unordered_map<Value, std::size_t, ValueHash> index;
@@ -469,15 +486,10 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       if (it == reverse.end()) continue;
       affected.insert(affected.end(), it->second.begin(), it->second.end());
     }
-    std::sort(affected.begin(), affected.end(),
-              [](const FactRef& a, const FactRef& b) {
-                return a.rel != b.rel ? a.rel < b.rel : a.pos < b.pos;
-              });
-    affected.erase(std::unique(affected.begin(), affected.end(),
-                               [](const FactRef& a, const FactRef& b) {
-                                 return a.rel == b.rel && a.pos == b.pos;
-                               }),
-                   affected.end());
+    std::sort(affected.begin(), affected.end(), FactRefLess);
+    affected.erase(
+        std::unique(affected.begin(), affected.end(), FactRefEqual),
+        affected.end());
 
     if (affected.size() > target->size() / 2) {
       // ---- heavy merge: rebuild the instance wholesale -------------------
@@ -498,6 +510,7 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       });
       *target = std::move(next);
       reverse_valid = false;
+      if (log != nullptr) log->stable = false;
     } else {
       // ---- light merge: rewrite only the affected facts in place ---------
       const RewriteResult result = target->RewriteFacts(affected, subst);
@@ -505,7 +518,11 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       if (result.compacted) {
         // Positions shifted; the reverse index is stale beyond repair.
         reverse_valid = false;
+        if (log != nullptr) log->stable = false;
       } else {
+        if (log != nullptr && log->stable) {
+          log->rows.insert(log->rows.end(), affected.begin(), affected.end());
+        }
         // Maintain the index: the merged nulls are gone everywhere (every
         // occurrence was just rewritten), and each affected fact now holds
         // representative values at the rewritten slots.

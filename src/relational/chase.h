@@ -172,6 +172,18 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
 
+/// The facts an EgdFixpoint run rewrote, as positions in the final
+/// instance. A rewrite changes data values only, never a fact's interval.
+struct EgdRewriteLog {
+  /// Distinct rewritten facts in (relation, position) order. Complete only
+  /// while `stable`.
+  std::vector<FactRef> rows;
+  /// False once any merge shifted or rebuilt fact positions (a heavy
+  /// rebuild, or an in-place rewrite that compacted colliding facts);
+  /// `rows` then no longer names the changed facts.
+  bool stable = true;
+};
+
 /// Phase 2: applies egd steps on `target` until fixpoint. Returns kFailure
 /// (and fills `failure_reason`) when an egd equates two distinct non-null
 /// values, kAborted when `guard` trips (budget, deadline, or the armed
@@ -183,9 +195,14 @@ using FreshNullFactory =
 /// across passes), falling back to a full instance rebuild when a pass
 /// touches more than half the facts. Slots rewritten either way accrue to
 /// ChaseStats::values_rewritten.
+///
+/// When `log` is non-null it is reset on entry and records which facts the
+/// run changed, for callers that keep position-based state across it (the
+/// incremental normalizer, core/normalize_incremental.h).
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
-                            ResourceGuard* guard);
+                            ResourceGuard* guard,
+                            EgdRewriteLog* log = nullptr);
 
 /// Per-relation delta frontier for semi-naive target-tgd rounds: facts of
 /// relation r at positions >= mark(r) form the frontier (inserted since the

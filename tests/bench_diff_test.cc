@@ -142,6 +142,31 @@ TEST(CheckBenchGates, CounterGateReadsUserCounters) {
   EXPECT_FALSE(CheckBenchGates(fresh, nullptr, missing).ok());
 }
 
+TEST(CheckBenchGates, CounterGateMaxBound) {
+  const Json fresh = Report(kFast);
+  const auto check = [&](const char* bounds) {
+    const Json gates = Parse(
+        std::string(R"({"counter_gates":[{"name":"fires","benchmark":"BM_A/1",)"
+                    R"("counter":"fires",)") +
+        bounds + "}]}");
+    return CheckBenchGates(fresh, nullptr, gates);
+  };
+  auto within = check(R"("max":7)");
+  ASSERT_TRUE(within.ok()) << within.status();
+  EXPECT_TRUE(within->pass);
+  auto over = check(R"("max":6)");
+  ASSERT_TRUE(over.ok()) << over.status();
+  EXPECT_FALSE(over->pass);
+  // Both bounds are checked when both are given.
+  auto both = check(R"("min":1,"max":6)");
+  ASSERT_TRUE(both.ok()) << both.status();
+  ASSERT_EQ(both->checks.size(), 2u);
+  EXPECT_TRUE(both->checks[0].pass);
+  EXPECT_FALSE(both->checks[1].pass);
+  // A gate without any bound is malformed.
+  EXPECT_FALSE(check(R"("note":"none")").ok());
+}
+
 TEST(CheckBenchGates, TimeUnitsAreNormalized) {
   // 0.4us vs 100ns: same 4x ratio once normalized.
   const Json fresh = Report(

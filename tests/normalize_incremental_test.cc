@@ -1,17 +1,22 @@
 // Incremental normalization (core/normalize_incremental.h): a persistent
 // NormalizeState must produce bit-identical output to a fresh full
-// Normalize after any sequence of appends, at any job count; it must
-// invalidate on every generation bump; its watermark must survive a
-// checkpoint export/restore round trip; and the c-chase must produce the
-// same solution with the incremental path on and off, on every workload
-// family including randomized mappings and a kill-and-recover sweep.
+// Normalize after any sequence of appends and position-stable egd rewrites;
+// it must invalidate on every other generation bump; a pass that cuts no
+// fact must leave the instance (and its generation) alone; its watermark
+// must survive a checkpoint export/restore round trip; and the c-chase must
+// produce the same solution with the incremental path on and off, on every
+// workload family including randomized mappings and a kill-and-recover
+// sweep.
 
 #include "src/core/normalize_incremental.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,13 +27,23 @@
 #include "src/core/cchase.h"
 #include "src/core/normalize.h"
 #include "src/gen/workload.h"
+#include "src/obs/metrics.h"
 #include "src/parser/printer.h"
+#include "src/relational/chase.h"
+#include "tests/test_util.h"
 
 namespace tdx {
 namespace {
 
 std::string Render(const ConcreteInstance& instance, const Universe& u) {
   return instance.facts().ToString(u);
+}
+
+/// Process-wide value of a registry counter (0 when never touched).
+std::uint64_t CounterValue(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+  const obs::MetricValue* v = snap.Find(name);
+  return v != nullptr ? v->value : 0;
 }
 
 // Drives two identical worst-case settings in lockstep: `inc` through one
@@ -231,6 +246,213 @@ TEST_F(NormalizeStateTest, FaultSiteTripsTheGuardAndInvalidates) {
             Render(full_w_->source, full_w_->universe));
 }
 
+TEST_F(NormalizeStateTest, UncutPassInstallsNothing) {
+  NormalizeState state;
+  state.Normalize(&inc_w_->source, phis_inc_);
+  FullRound();
+
+  // A fact far from every other one pairs only with itself: it is grouped,
+  // but no cut falls strictly inside its interval, so the output is the
+  // input.
+  AddBoth("far", Interval(100, 105));
+  const std::uint64_t generation = inc_w_->source.facts().generation();
+  const std::uint64_t identity_before =
+      CounterValue("normalize.incremental.identity_passes");
+  NormalizeStats stats;
+  state.Normalize(&inc_w_->source, phis_inc_, &stats);
+  EXPECT_EQ(stats.delta_facts, 1u);
+  EXPECT_EQ(stats.output_facts, stats.input_facts);
+  EXPECT_EQ(inc_w_->source.facts().generation(), generation);
+  EXPECT_EQ(CounterValue("normalize.incremental.identity_passes"),
+            identity_before + 1);
+  EXPECT_TRUE(state.MatchesWatermark(inc_w_->source));
+  FullRound();
+  EXPECT_EQ(Render(inc_w_->source, inc_w_->universe),
+            Render(full_w_->source, full_w_->universe));
+}
+
+TEST_F(NormalizeStateTest, FragmentBudgetTripsAtTheSameCountUncut) {
+  // The rebuild pass over the raw source and the uncut pass over its
+  // normalized form emit the same n facts, so both are charged n fragments
+  // and a budget of n - 1 trips either way.
+  const ConcreteInstance raw = inc_w_->source;
+  const ConcreteInstance normalized = Normalize(raw, phis_inc_);
+  const std::size_t n = normalized.size();
+  ASSERT_GT(n, raw.size());
+  for (const std::size_t limit : {n - 1, n}) {
+    ChaseLimits limits;
+    limits.max_normalize_fragments = limit;
+    ResourceGuard rebuild_guard(limits);
+    Normalize(raw, phis_inc_, nullptr, &rebuild_guard);
+
+    ConcreteInstance uncut = normalized;
+    NormalizeState state;
+    ResourceGuard uncut_guard(limits);
+    NormalizeStats stats;
+    state.Normalize(&uncut, phis_inc_, &stats, &uncut_guard);
+
+    EXPECT_EQ(rebuild_guard.tripped(), limit < n) << "limit " << limit;
+    EXPECT_EQ(uncut_guard.tripped(), limit < n) << "limit " << limit;
+    EXPECT_EQ(stats.partial, limit < n);
+    EXPECT_EQ(uncut_guard.Consumed().fragments,
+              rebuild_guard.Consumed().fragments);
+    // Tripped or not, the uncut pass leaves its input in place.
+    EXPECT_EQ(Render(uncut, inc_w_->universe),
+              Render(normalized, inc_w_->universe));
+    EXPECT_EQ(state.MatchesWatermark(uncut), limit >= n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Egd rewrites: NoteRewrite keeps the watermark across position-stable
+// merges; every other merge falls back to a full pass.
+// ---------------------------------------------------------------------------
+
+// The egd resolves T's annotated nulls from W; the tgd body joins T with V
+// on the value the egd rewrites, so a rewrite can create an overlapping hom
+// (and thus a cut) that did not exist before it.
+constexpr std::string_view kRewriteProgram = R"(
+  source S(k);
+  target T(k, v);
+  target W(k, v);
+  target V(v, w);
+  target X(v);
+  target O(k, w);
+  tgd s: S(k) -> W(k, k);
+  ttgd j: T(k, v) & V(v, w) -> O(k, w);
+  egd e: T(k, v) & W(k, v2) -> v = v2;
+)";
+
+class EgdRewriteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    program_ = testing::ParseOrDie(kRewriteProgram);
+    phis_ = program_->lifted.TargetTgdBodies();
+    const std::vector<Conjunction> egd_phis = program_->lifted.EgdBodies();
+    phis_.insert(phis_.end(), egd_phis.begin(), egd_phis.end());
+    target_.emplace(&program_->schema);
+  }
+
+  Value C(const char* name) { return program_->universe.Constant(name); }
+  Value Null(const Interval& iv) {
+    return program_->universe.FreshAnnotatedNull(iv);
+  }
+  void Add(const char* rel, std::vector<Value> data, const Interval& iv) {
+    const RelationId id = *program_->schema.Find(std::string(rel) + "+");
+    ASSERT_TRUE(target_->Add(id, std::move(data), iv).ok());
+  }
+
+  /// Runs the egd fixpoint, hands a stable log to `state` as the c-chase
+  /// does, and returns the log.
+  EgdRewriteLog Merge(NormalizeState* state) {
+    const bool held = state->MatchesWatermark(*target_);
+    EgdRewriteLog log;
+    ChaseStats stats;
+    std::string reason;
+    ResourceGuard guard;
+    EXPECT_EQ(EgdFixpoint(&target_->mutable_facts(), program_->lifted.egds,
+                          &stats, &reason, &guard, &log),
+              ChaseResultKind::kSuccess);
+    EXPECT_GT(stats.egd_steps, 0u);
+    if (held && log.stable) state->NoteRewrite(*target_, log.rows);
+    return log;
+  }
+
+  /// Normalizes the target through `state` and checks the result against a
+  /// fresh full Normalize of the same input.
+  NormalizeStats NormalizeAndCompare(NormalizeState* state) {
+    const ConcreteInstance expected = Normalize(*target_, phis_);
+    NormalizeStats stats;
+    state->Normalize(&*target_, phis_, &stats);
+    EXPECT_EQ(Render(*target_, program_->universe),
+              Render(expected, program_->universe));
+    return stats;
+  }
+
+  std::unique_ptr<ParsedProgram> program_;
+  std::vector<Conjunction> phis_;
+  std::optional<ConcreteInstance> target_;
+};
+
+TEST_F(EgdRewriteTest, StableRewriteSeedsTheNextPass) {
+  const Interval iv(0, 10);
+  Add("T", {C("a"), Null(iv)}, iv);
+  Add("W", {C("a"), C("c")}, iv);
+  Add("V", {C("c"), C("z")}, Interval(5, 15));
+  NormalizeState state;
+  NormalizeAndCompare(&state);
+
+  // N := "c" rewrites one T fact in place; it now joins V on "c", and the
+  // overlap cuts T, W and V at 5 and 10.
+  const EgdRewriteLog log = Merge(&state);
+  ASSERT_TRUE(log.stable);
+  ASSERT_EQ(log.rows.size(), 1u);
+  EXPECT_TRUE(state.MatchesWatermark(*target_));
+  EXPECT_FALSE(state.Export(&target_->facts()).has_value())
+      << "a watermark with pending rewritten rows must not be checkpointed";
+
+  const std::uint64_t full_before =
+      CounterValue("normalize.incremental.full_passes");
+  const std::uint64_t seeds_before =
+      CounterValue("normalize.incremental.rewrite_seeds");
+  const std::size_t facts_before = target_->size();
+  const NormalizeStats stats = NormalizeAndCompare(&state);
+  EXPECT_EQ(CounterValue("normalize.incremental.full_passes"), full_before);
+  EXPECT_EQ(CounterValue("normalize.incremental.rewrite_seeds"),
+            seeds_before + 1);
+  EXPECT_EQ(stats.delta_facts, 0u);
+  EXPECT_GT(stats.output_facts, facts_before);
+  EXPECT_TRUE(testing::HasConcreteFact(*target_, program_->universe, "T+",
+                                       {"a", "c"}, Interval(5, 10)));
+  // The seeds are consumed: the watermark is exportable again.
+  EXPECT_TRUE(state.Export(&target_->facts()).has_value());
+}
+
+TEST_F(EgdRewriteTest, CompactingRewriteFallsBackToAFullPass) {
+  const Interval iv(0, 10);
+  Add("T", {C("a"), Null(iv)}, iv);
+  Add("T", {C("a"), C("c")}, iv);
+  Add("W", {C("a"), C("c")}, iv);
+  Add("V", {C("c"), C("z")}, Interval(5, 15));
+  Add("V", {C("d"), C("q")}, Interval(20, 30));
+  NormalizeState state;
+  NormalizeAndCompare(&state);
+
+  // T(a, N) becomes T(a, "c"), which already exists: the rewrite removes it
+  // and shifts positions.
+  const EgdRewriteLog log = Merge(&state);
+  EXPECT_FALSE(log.stable);
+  EXPECT_FALSE(state.MatchesWatermark(*target_));
+  const std::uint64_t full_before =
+      CounterValue("normalize.incremental.full_passes");
+  const NormalizeStats stats = NormalizeAndCompare(&state);
+  EXPECT_EQ(CounterValue("normalize.incremental.full_passes"),
+            full_before + 1);
+  EXPECT_EQ(stats.delta_facts, stats.input_facts);
+}
+
+TEST_F(EgdRewriteTest, HeavyMergeFallsBackToAFullPass) {
+  // The merged null occurs in two of the three facts, more than half: the
+  // fixpoint rebuilds the instance instead of rewriting in place.
+  const Interval iv(0, 10);
+  const Value n = Null(iv);
+  Add("T", {C("a"), n}, iv);
+  Add("X", {n}, iv);
+  Add("W", {C("a"), C("c")}, iv);
+  NormalizeState state;
+  NormalizeAndCompare(&state);
+
+  const EgdRewriteLog log = Merge(&state);
+  EXPECT_FALSE(log.stable);
+  EXPECT_FALSE(state.MatchesWatermark(*target_));
+  const std::uint64_t full_before =
+      CounterValue("normalize.incremental.full_passes");
+  const NormalizeStats stats = NormalizeAndCompare(&state);
+  EXPECT_EQ(CounterValue("normalize.incremental.full_passes"),
+            full_before + 1);
+  EXPECT_EQ(stats.delta_facts, stats.input_facts);
+}
+
 // ---------------------------------------------------------------------------
 // End to end: the c-chase with the incremental path on vs off.
 // ---------------------------------------------------------------------------
@@ -392,6 +614,9 @@ TEST_P(CascadeChaosTest, KillResumeIsBitIdentical) {
 
   const char* site = GetParam();
   std::size_t kills = 0;
+  // Kills resumed from the loop-top checkpoint taken right after an egd
+  // merge, while the rewritten rows were still pending.
+  std::size_t post_merge_resumes = 0;
   for (std::size_t skip = 0; skip < 64; ++skip) {
     auto w = MakeCascadeWorkload(Config());
     Checkpointer checkpointer("", &w->schema, &w->universe);
@@ -417,19 +642,31 @@ TEST_P(CascadeChaosTest, KillResumeIsBitIdentical) {
     if (!killed) break;
     ++kills;
 
+    const std::optional<ChaseCheckpoint>& latest = checkpointer.latest();
     CChaseOptions resume_options;
-    resume_options.resume_from = checkpointer.latest().has_value()
-                                     ? &*checkpointer.latest()
-                                     : nullptr;
+    resume_options.resume_from = latest.has_value() ? &*latest : nullptr;
+    if (latest.has_value() && latest->phase == "loop-top" &&
+        latest->stats.egd_steps > 0 && !latest->norm_state_valid) {
+      ++post_merge_resumes;
+    }
     auto resumed = CChase(w->source, w->lifted, &w->universe, resume_options);
     ASSERT_TRUE(resumed.ok()) << resumed.status();
     ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
     EXPECT_EQ(RenderConcreteInstance(resumed->target, w->universe), baseline)
         << "divergence after kill at " << site << "@" << skip;
+    EXPECT_EQ(resumed->stats.tgd_fires, base->stats.tgd_fires);
     EXPECT_EQ(resumed->stats.fresh_nulls, base->stats.fresh_nulls);
     EXPECT_EQ(resumed->stats.egd_steps, base->stats.egd_steps);
+    EXPECT_EQ(resumed->stats.values_rewritten, base->stats.values_rewritten);
   }
   EXPECT_GT(kills, 0u) << "site " << site << " was never reached";
+  // The normalize-target site fires right after every loop-top checkpoint;
+  // after a merge that checkpoint carries no watermark (the rewritten rows
+  // are not part of the format) and the resumed run starts with a full
+  // pass.
+  if (std::string_view(site) == "cchase/normalize-target") {
+    EXPECT_EQ(post_merge_resumes, base->stats.egd_steps);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSites, CascadeChaosTest,

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <sstream>
 #include <string>
@@ -151,14 +152,20 @@ TEST(MetricsRegistry, ParallelWritersMergeDeterministically) {
 
 TEST(MetricsRegistry, ShardsAreRecycledAcrossPools) {
   Counter counter("obs_test.recycle");
-  for (int round = 0; round < 4; ++round) {
-    ParallelFor(4, 16, [&](std::size_t) { counter.Inc(); });
-  }
+  // Every round leases exactly four worker shards: each task holds its
+  // worker at a four-party latch, so no worker can finish early and take a
+  // second task while another worker (starting late under load) runs none.
+  const auto round = [&] {
+    std::latch all_running(4);
+    ParallelFor(4, 4, [&](std::size_t) {
+      counter.Inc();
+      all_running.arrive_and_wait();
+    });
+  };
+  for (int i = 0; i < 4; ++i) round();
   const std::size_t after_first_rounds =
       MetricsRegistry::Instance().shard_count();
-  for (int round = 0; round < 4; ++round) {
-    ParallelFor(4, 16, [&](std::size_t) { counter.Inc(); });
-  }
+  for (int i = 0; i < 4; ++i) round();
   // Exited pool threads return their shards to the free list, so repeated
   // pools reuse them instead of growing the shard set without bound.
   EXPECT_EQ(MetricsRegistry::Instance().shard_count(), after_first_rounds);
