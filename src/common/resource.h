@@ -327,7 +327,7 @@ class ResourceGuard {
     if (FaultRegistry::AnyArmed()) {
       Status fault = FaultRegistry::Fire(site);
       if (!fault.ok()) {
-        Trip(ResourceDimension::kInjectedFault, fault.ToString());
+        TripFault(fault);
         return false;
       }
     }
@@ -335,6 +335,13 @@ class ResourceGuard {
     (void)site;
 #endif
     return ok();
+  }
+
+  /// Trips the guard with an injected fault that surfaced outside
+  /// PokeFault — a ParallelFor task dropped by the thread-pool/dispatch
+  /// site — so the engine unwinds as from any other abort.
+  void TripFault(const Status& fault) {
+    Trip(ResourceDimension::kInjectedFault, fault.ToString());
   }
 
   /// Normalizer passes are budgeted individually (each pass re-fragments

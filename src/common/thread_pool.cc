@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "src/common/resource.h"
@@ -12,10 +13,8 @@ namespace tdx {
 namespace {
 
 /// The thread-pool/dispatch fault site: when armed, the next dispatched
-/// work item is silently dropped — a stand-in for a worker killed between
-/// dequeue and execution. Callers that fan out through ParallelFor observe
-/// an unfilled result slot and must turn it into a clean abort (see
-/// temporal/abstract_chase.cc).
+/// work item is dropped — a stand-in for a worker killed between dequeue
+/// and execution. ParallelFor reports the drop through its return value.
 bool DispatchFaultDropsTask() {
 #ifndef TDX_DISABLE_FAULT_POINTS
   if (FaultRegistry::AnyArmed()) {
@@ -80,7 +79,7 @@ unsigned ThreadPool::HardwareJobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ParallelFor(unsigned jobs, std::size_t count,
+bool ParallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)>& fn) {
   // One batch span and two bulk counter adds per call — never per task, so
   // trigger-collection fan-outs pay nothing per item.
@@ -90,23 +89,32 @@ void ParallelFor(unsigned jobs, std::size_t count,
   batches_metric.Inc();
   tasks_metric.Inc(count);
   if (jobs <= 1 || count <= 1) {
+    bool all_ran = true;
     for (std::size_t i = 0; i < count; ++i) {
-      if (DispatchFaultDropsTask()) continue;
+      if (DispatchFaultDropsTask()) {
+        all_ran = false;
+        continue;
+      }
       fn(i);
     }
-    return;
+    return all_ran;
   }
   obs::TraceSpan span("thread_pool.parallel_for");
   span.SetArg("tasks", count);
   jobs_metric.Set(jobs);
   ThreadPool pool(std::min<std::size_t>(jobs, count));
+  std::atomic<bool> all_ran{true};
   for (std::size_t i = 0; i < count; ++i) {
-    pool.Submit([&fn, i] {
-      if (DispatchFaultDropsTask()) return;
+    pool.Submit([&fn, &all_ran, i] {
+      if (DispatchFaultDropsTask()) {
+        all_ran = false;
+        return;
+      }
       fn(i);
     });
   }
   pool.Wait();
+  return all_ran;
 }
 
 }  // namespace tdx

@@ -4,9 +4,9 @@
 // The engine's data structures (Universe, Instance, ResourceGuard, the
 // finders) are deliberately NOT thread-safe: parallel callers give every
 // work item its own scratch state and merge results sequentially in a
-// deterministic order afterwards (see temporal/abstract_chase.cc for the
-// pattern). The pool itself therefore stays minimal: submit closures, wait
-// for quiescence, join on destruction.
+// deterministic order afterwards (see core/certain.cc for the pattern).
+// The pool itself therefore stays minimal: submit closures, wait for
+// quiescence, join on destruction.
 
 #ifndef TDX_COMMON_THREAD_POOL_H_
 #define TDX_COMMON_THREAD_POOL_H_
@@ -63,8 +63,12 @@ class ThreadPool {
 /// Runs inline (no threads) when jobs <= 1 or count <= 1, so callers can
 /// unconditionally route through this and let the flag decide. `fn` must be
 /// safe to call concurrently for distinct indexes and must not throw.
-void ParallelFor(unsigned jobs, std::size_t count,
-                 const std::function<void(std::size_t)>& fn);
+///
+/// Returns true when every call ran. False means the thread-pool/dispatch
+/// fault site dropped a task (a stand-in for a killed worker): some result
+/// slots were never filled, and the caller must abort rather than use them.
+[[nodiscard]] bool ParallelFor(unsigned jobs, std::size_t count,
+                               const std::function<void(std::size_t)>& fn);
 
 }  // namespace tdx
 

@@ -90,10 +90,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   const std::string start_phase =
       resume != nullptr ? resume->phase : std::string("init");
   if (resume != nullptr) {
-    if (resume->engine != ChaseCheckpoint::Engine::kCChase) {
-      return Status::InvalidArgument(
-          "checkpoint was not written by the c-chase engine");
-    }
     if (resume->config != config) {
       return Status::InvalidArgument(
           "checkpoint was written under different execution options (\"" +
@@ -175,7 +171,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     if (options.checkpointer == nullptr) return;
     options.checkpointer->AtSafePoint(boundary, [&]() {
       ChaseCheckpoint ck;
-      ck.engine = ChaseCheckpoint::Engine::kCChase;
       ck.config = config;
       ck.phase = phase;
       ck.rounds = rounds;

@@ -61,7 +61,9 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   // the one-point entry computes.
   std::vector<std::optional<Result<CertainAnswersResult>>> slots(
       points.size());
-  ParallelFor(jobs, points.size(), [&](std::size_t i) {
+  // A slot the pool dropped (the thread-pool/dispatch fault site) stays
+  // empty; it reports an aborted chase, never answers, below.
+  (void)ParallelFor(jobs, points.size(), [&](std::size_t i) {
     Universe scratch;
     auto run = [&]() -> Result<CertainAnswersResult> {
       TDX_ASSIGN_OR_RETURN(
@@ -78,6 +80,10 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   std::vector<CertainAnswersResult> results;
   results.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!slots[i].has_value()) {
+      results.emplace_back().chase_kind = ChaseResultKind::kAborted;
+      continue;
+    }
     TDX_ASSIGN_OR_RETURN(CertainAnswersResult result, std::move(*slots[i]));
     results.push_back(std::move(result));
   }

@@ -200,26 +200,6 @@ Result<std::string> SerializeProgram(const ParsedProgram& program) {
 
 namespace {
 
-std::string_view EngineName(ChaseCheckpoint::Engine engine) {
-  switch (engine) {
-    case ChaseCheckpoint::Engine::kSnapshot:
-      return "snapshot";
-    case ChaseCheckpoint::Engine::kCChase:
-      return "cchase";
-    case ChaseCheckpoint::Engine::kAbstract:
-      return "abstract";
-  }
-  return "?";
-}
-
-bool EngineFromName(std::string_view name, ChaseCheckpoint::Engine* out) {
-  if (name == "snapshot") *out = ChaseCheckpoint::Engine::kSnapshot;
-  else if (name == "cchase") *out = ChaseCheckpoint::Engine::kCChase;
-  else if (name == "abstract") *out = ChaseCheckpoint::Engine::kAbstract;
-  else return false;
-  return true;
-}
-
 std::string EscapeCheckpointString(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -464,14 +444,15 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
   }
   std::string out = "tdxckpt v" +
                     std::to_string(ChaseCheckpoint::kFormatVersion) + "\n";
-  out += "engine ";
-  out += EngineName(checkpoint.engine);
-  out += "\n";
+  // Only the c-chase checkpoints. The engine and piece-cursor lines are
+  // constant but stay: they are part of the v1 layout that older c-chase
+  // files share.
+  out += "engine cchase\n";
   out += "fingerprint " + Hex16(checkpoint.program_fingerprint) + "\n";
   out += "config " + checkpoint.config + "\n";
   out += "phase " + checkpoint.phase + "\n";
   out += "rounds " + std::to_string(checkpoint.rounds) + "\n";
-  out += "piece-cursor " + std::to_string(checkpoint.piece_cursor) + "\n";
+  out += "piece-cursor 0\n";
   out += "stats " + std::to_string(checkpoint.stats.tgd_triggers) + " " +
          std::to_string(checkpoint.stats.tgd_fires) + " " +
          std::to_string(checkpoint.stats.egd_steps) + " " +
@@ -537,11 +518,6 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
            std::to_string(checkpoint.normalized_source->size()) + "\n";
     AppendFactLines(&out, *checkpoint.normalized_source, u);
   }
-  for (const AbstractPiece& piece : checkpoint.pieces) {
-    out += "piece " + IntervalToken(piece.span) + " " +
-           std::to_string(piece.snapshot.size()) + "\n";
-    AppendFactLines(&out, piece.snapshot, u);
-  }
   out += "end " + Hex16(FingerprintText(out)) + "\n";
   return out;
 }
@@ -577,8 +553,10 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
                      std::to_string(version));
   }
   c = TokenCursor{reader.Next()};
-  if (!c.Eat("engine ") || !EngineFromName(c.Word(), &ck.engine)) {
-    return Malformed("malformed engine line");
+  if (!c.Eat("engine ")) return Malformed("malformed engine line");
+  if (const std::string_view engine = c.Word(); engine != "cchase") {
+    return Malformed("engine '" + std::string(engine) +
+                     "' is not resumable; only c-chase checkpoints are");
   }
   c = TokenCursor{reader.Next()};
   if (!c.Eat("fingerprint ") || !c.Hex(&ck.program_fingerprint)) {
@@ -598,7 +576,10 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
   if (!c.Eat("piece-cursor ") || !c.Uint(&n)) {
     return Malformed("malformed piece-cursor");
   }
-  ck.piece_cursor = static_cast<std::size_t>(n);
+  if (n != 0) {
+    return Malformed("piece-cursor " + std::to_string(n) +
+                     " belongs to an abstract-chase checkpoint");
+  }
   {
     c = TokenCursor{reader.Next()};
     std::uint64_t v[5];
@@ -760,12 +741,8 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         ck.norm_labels.push_back(static_cast<std::uint32_t>(l));
       }
     } else if (c.Eat("piece ")) {
-      TDX_ASSIGN_OR_RETURN(Interval span, ParseIntervalToken(&c));
-      if (!c.Uint(&n)) return Malformed("malformed piece header");
-      TDX_ASSIGN_OR_RETURN(
-          Instance inst,
-          ParseFactBlock(&reader, n, schema, universe, ck.next_null));
-      ck.pieces.push_back(AbstractPiece{span, std::move(inst)});
+      return Malformed("'piece' sections belong to an abstract-chase "
+                       "checkpoint");
     } else {
       return Malformed("unexpected line in checkpoint body");
     }

@@ -13,7 +13,6 @@
 
 #include "src/analysis/planner.h"
 #include "src/analysis/termination.h"
-#include "src/common/checkpoint.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 
@@ -238,10 +237,17 @@ bool RunGroup(const std::vector<std::size_t>& group,
                     frontier, &local[k], &sets[k]);
   };
   if (plan.jobs > 1 && n > 1) {
-    ParallelFor(plan.jobs, n, [&](std::size_t k) {
+    const bool all_ran = ParallelFor(plan.jobs, n, [&](std::size_t k) {
       HomomorphismFinder scratch(body, &local[k].search);
       collect(&scratch, k);
     });
+    if (!all_ran) {
+      // A dropped collection would leave its tgd with no triggers and the
+      // run would finish with a silently smaller target: abort instead.
+      guard->TripFault(Status::Internal(
+          "trigger collection task was dropped before execution"));
+      return false;
+    }
   } else {
     for (std::size_t k = 0; k < n; ++k) collect(finder_for(k, body_finder), k);
   }
@@ -543,36 +549,12 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
   }
 }
 
-namespace {
-
-Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
-                                       const Mapping& mapping,
-                                       Universe* universe,
-                                       const ChaseOptions& options) {
+Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
+                                   const Mapping& mapping, Universe* universe,
+                                   const ChaseOptions& options) {
   TDX_TRACE_SPAN("snapshot.run");
-  const ChaseCheckpoint* resume = options.resume_from;
-  const std::string config = std::string("engine=snapshot semi-naive=") +
-                             (options.semi_naive ? "1" : "0");
-  if (resume != nullptr) {
-    if (resume->engine != ChaseCheckpoint::Engine::kSnapshot) {
-      return Status::InvalidArgument(
-          "checkpoint was not written by the snapshot chase engine");
-    }
-    if (resume->config != config) {
-      return Status::InvalidArgument(
-          "checkpoint was written under different execution options (\"" +
-          resume->config + "\" vs \"" + config + "\")");
-    }
-    if (!resume->target.has_value()) {
-      return Status::InvalidArgument(
-          "snapshot checkpoint is missing its target instance");
-    }
-  }
-  ResourceGuard guard = resume != nullptr
-                            ? ResourceGuard(options.limits, resume->consumed)
-                            : ResourceGuard(options.limits);
-  ChaseOutcome outcome(resume != nullptr ? *resume->target
-                                         : Instance(&source.schema()));
+  ResourceGuard guard(options.limits);
+  ChaseOutcome outcome(Instance(&source.schema()));
   // Consult the mapping's termination certificate (or derive one) before
   // doing any work: an uncertified set of target tgds may chase forever.
   outcome.stats.certificate =
@@ -584,14 +566,6 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
         "refusing to chase: target tgds are not weakly acyclic (cycle " +
         outcome.stats.certificate->witness + "); the chase might not "
         "terminate");
-  }
-  if (resume != nullptr) {
-    // Stats and the null namespace resume from the safe point; the
-    // certificate is derived state and keeps the recomputed value.
-    const auto certificate = outcome.stats.certificate;
-    outcome.stats = resume->stats;
-    outcome.stats.certificate = certificate;
-    universe->RestoreNullState(resume->next_null, resume->null_names);
   }
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
@@ -606,68 +580,22 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   const ChaseRunPlan plan =
       PlanChaseRun(mapping, source.schema(), options.scheduled,
                    options.semi_naive, options.jobs);
-  // schedule_strata is derived state like the certificate: recomputed even
-  // on resume rather than trusted from the checkpoint.
   outcome.stats.schedule_strata = plan.strata;
 
   DeltaFrontier frontier;
-  // Init-phase checkpoints carry rounds == 0, so seeding from the resume
-  // point is correct for every phase; the loop-top dispatch below re-assigns
-  // the same value.
-  std::size_t rounds = resume != nullptr ? resume->rounds : 0;
-  bool mid_rounds = false;
-  // From here on the stats reflect only this run's work (the resume restore
-  // above already happened), so the scope's exit-time deltas attribute
-  // resumed work to the run that actually did it.
+  std::size_t rounds = 0;
   ChaseRunScope run_metrics("snapshot", &outcome.stats, &rounds,
                             &outcome.kind);
-  // Offers a safe point to the checkpointer. Everything captured is the
-  // state a fresh run would hold at the same point, so resuming from the
-  // checkpoint and re-executing produces bit-identical results.
-  const auto offer_checkpoint = [&](bool boundary, const char* phase) {
-    if (options.checkpointer == nullptr) return;
-    options.checkpointer->AtSafePoint(boundary, [&]() {
-      ChaseCheckpoint ck;
-      ck.engine = ChaseCheckpoint::Engine::kSnapshot;
-      ck.config = config;
-      ck.phase = phase;
-      ck.rounds = rounds;
-      ck.stats = outcome.stats;
-      ck.consumed = guard.Consumed();
-      CaptureUniverseNulls(*universe, &ck);
-      ck.frontier_full = frontier.full();
-      ck.frontier_marks = frontier.marks();
-      ck.target = outcome.target;
-      return ck;
-    });
-  };
 
-  if (guard.tripped()) return aborted();
-  const std::string start_phase = resume != nullptr ? resume->phase : "init";
-  if (start_phase == "init") {
-    if (resume == nullptr) offer_checkpoint(true, "init");
-    if (!guard.PokeFault("chase/tgd-phase")) return aborted();
-    {
-      TDX_TRACE_SPAN("snapshot.st_tgd");
-      TgdPhase(source, &outcome.target, mapping.st_tgds, plan.st, fresh,
-               &outcome.stats, &guard);
-    }
-    if (guard.tripped()) return aborted();
-    offer_checkpoint(true, "loop-top");
-  } else if (start_phase == "loop-top" || start_phase == "rounds") {
-    rounds = resume->rounds;
-    if (resume->frontier_full) {
-      frontier.Reset();
-    } else {
-      frontier.AdvanceTo(resume->frontier_marks);
-    }
-    // A "rounds" checkpoint sits between two fired rounds: the resumed
-    // iteration continues the inner loop with the fired flag already set.
-    mid_rounds = start_phase == "rounds";
-  } else {
-    return Status::InvalidArgument("unknown snapshot checkpoint phase '" +
-                                   start_phase + "'");
+  if (guard.tripped() || !guard.PokeFault("chase/tgd-phase")) {
+    return aborted();
   }
+  {
+    TDX_TRACE_SPAN("snapshot.st_tgd");
+    TgdPhase(source, &outcome.target, mapping.st_tgds, plan.st, fresh,
+             &outcome.stats, &guard);
+  }
+  if (guard.tripped()) return aborted();
 
   // Interleave target-tgd rounds and egd steps to a joint fixpoint. Weak
   // acyclicity (ValidateMapping) bounds the number of fresh nulls, so this
@@ -677,8 +605,7 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   // indexes absorb inserts incrementally and rebuild after egd rewrites
   // (generation check). The frontier resets whenever the egd fixpoint
   // rewrote anything, since rewritten facts can seed triggers the frontier
-  // would otherwise never revisit. The finder is derived state: on resume
-  // it is rebuilt fresh over the restored target.
+  // would otherwise never revisit.
   HomomorphismFinder finder(outcome.target, &outcome.stats.search);
   const auto run_round = [&]() {
     TDX_TRACE_SPAN("snapshot.tgd_round");
@@ -686,8 +613,7 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
                           fresh, &outcome.stats, &guard, &frontier, &finder);
   };
   while (true) {
-    bool fired = mid_rounds;
-    mid_rounds = false;
+    bool fired = false;
     while (run_round()) {
       fired = true;
       if (guard.tripped()) return aborted();
@@ -696,7 +622,6 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
             "target-tgd chase exceeded its iteration budget; are the "
             "target tgds weakly acyclic?");
       }
-      offer_checkpoint(false, "rounds");
     }
     if (guard.tripped()) return aborted();
     const std::size_t egd_before = outcome.stats.egd_steps;
@@ -718,17 +643,8 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
           "chase exceeded its iteration budget; are the target tgds weakly "
           "acyclic?");
     }
-    offer_checkpoint(true, "loop-top");
   }
   return outcome;
-}
-
-}  // namespace
-
-Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
-                                   const Mapping& mapping, Universe* universe,
-                                   const ChaseOptions& options) {
-  return ChaseSnapshotImpl(source, mapping, universe, options);
 }
 
 Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
@@ -736,7 +652,7 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
                                    const ChaseLimits& limits) {
   ChaseOptions options;
   options.limits = limits;
-  return ChaseSnapshotImpl(source, mapping, universe, options);
+  return ChaseSnapshot(source, mapping, universe, options);
 }
 
 }  // namespace tdx

@@ -16,7 +16,10 @@
 //    piece are identical, so their chases are isomorphic) and re-labels the
 //    fresh nulls as interval-annotated nulls spanning the piece, which is
 //    exactly "a different null per snapshot" under the [[.]] semantics.
-//    This is the conceptual bridge to the c-chase.
+//    This is the conceptual bridge to the c-chase, and the reference the
+//    c-chase is checked against (core/align.h): it runs sequentially to
+//    completion under a budget, with no checkpoints — checkpoint/resume and
+//    parallel execution belong to the c-chase (core/cchase.h).
 //
 //  * ChaseSnapshotAt — ground truth for testing: materializes db_l and
 //    chases it directly with genuinely fresh labeled nulls.
@@ -28,28 +31,6 @@
 #include "src/temporal/abstract_instance.h"
 
 namespace tdx {
-
-struct AbstractChaseOptions {
-  /// Per-piece snapshot-chase knobs (budget, semi-naive rounds).
-  ChaseOptions chase;
-  /// Number of pieces chased concurrently. 1 (the default) is the exact
-  /// sequential engine. With jobs > 1 every piece is chased against a
-  /// scratch Universe on a pool thread and the results are merged — stats
-  /// aggregated, nulls re-labeled from the shared universe — sequentially
-  /// in piece order, so the outcome is deterministic and independent of
-  /// scheduling: identical to the sequential result up to the names of the
-  /// labeled nulls consumed mid-chase (the final target's annotated nulls
-  /// are assigned in the same piece order either way).
-  unsigned jobs = 1;
-  /// Checkpoint/resume hooks; see ChaseOptions for the contract. The single
-  /// safe point is "pieces": after each piece is merged (even under
-  /// parallel execution the merge is sequential in piece order, so per-piece
-  /// checkpoints are deterministic). The hooks on `chase` are ignored —
-  /// per-piece chases always run with them cleared; resuming restores the
-  /// merged prefix and re-chases only the remaining pieces.
-  Checkpointer* checkpointer = nullptr;
-  const ChaseCheckpoint* resume_from = nullptr;
-};
 
 struct AbstractChaseOutcome {
   explicit AbstractChaseOutcome(AbstractInstance target_in)
@@ -77,12 +58,6 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
                                            const Mapping& mapping,
                                            Universe* universe,
                                            const ChaseLimits& limits = {});
-
-/// Same, with execution knobs (parallel pieces, semi-naive rounds).
-Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
-                                           const Mapping& mapping,
-                                           Universe* universe,
-                                           const AbstractChaseOptions& options);
 
 /// Materializes db_l of `source` and chases it. Ground truth for property
 /// tests comparing against the compact implementations.

@@ -117,13 +117,40 @@ class AbstractHomSearch {
   std::unordered_set<NullId> single_snapshot_nulls_;
 };
 
+/// Re-annotates every annotated null to its piece's span. Fragments of one
+/// null carry different annotations (N^[11,14) and N^[13,14)), yet at each
+/// snapshot of a piece they project onto the same unknown (projection keys
+/// on the null id only). Matching piece templates by Value would miss the
+/// joins they form at every snapshot; one annotation per piece restores
+/// them.
+AbstractInstance AnnotateWithPieceSpans(const AbstractInstance& inst) {
+  AbstractInstance out(&inst.schema());
+  std::vector<Value> args;
+  for (const AbstractPiece& piece : inst.pieces()) {
+    Instance snapshot(&inst.schema());
+    piece.snapshot.ForEach([&](FactView fact) {
+      args.clear();
+      for (const Value& v : fact.args()) {
+        args.push_back(v.is_annotated_null()
+                           ? Value::AnnotatedNull(v.null_id(), piece.span)
+                           : v);
+      }
+      snapshot.InsertSpan(fact.relation(), args.data(), args.size());
+    });
+    out.AddPiece(piece.span, std::move(snapshot));
+  }
+  return out;
+}
+
 }  // namespace
 
 bool AbstractHomomorphismExists(const AbstractInstance& from,
                                 const AbstractInstance& to) {
   auto [a, b] = AlignPieces(from, to);
   assert(a.pieces().size() == b.pieces().size());
-  return AbstractHomSearch(a, b).Run();
+  const AbstractInstance a_spans = AnnotateWithPieceSpans(a);
+  const AbstractInstance b_spans = AnnotateWithPieceSpans(b);
+  return AbstractHomSearch(a_spans, b_spans).Run();
 }
 
 bool AreAbstractEquivalent(const AbstractInstance& a,

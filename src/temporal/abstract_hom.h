@@ -13,7 +13,9 @@
 //  * an interval-annotated null of the domain denotes a different unknown
 //    per snapshot, so its image is free per piece (constant, labeled null,
 //    or annotated null of the codomain) and independent across pieces —
-//    a (null, piece)-local variable;
+//    a (null, piece)-local variable. Fragments of one null (same id,
+//    different annotations) are the same unknowns inside a piece, so on
+//    both sides every annotation is first replaced by the piece's span;
 //  * a labeled null of the domain denotes the SAME unknown in every
 //    snapshot it spans, so it is one global variable whose image must be a
 //    constant or a labeled null of the codomain — except when the null

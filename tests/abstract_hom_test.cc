@@ -225,5 +225,59 @@ TEST_F(AbstractHomTest, SplitLabeledNullStillCannotMapToAnnotated) {
   EXPECT_TRUE(AbstractHomomorphismExists(j1, j3));
 }
 
+// Fragments of one annotated null (same id, different annotations) project
+// onto the same unknown at every snapshot they share. In piece [1,2) the
+// codomain's T(c, N^[1,2)) and T(N^[0,2), d) therefore join at snapshot 1,
+// just like the domain's T(c, B) and T(B, d) — the shape of a c-chase
+// target whose egd step rewrote one fragment of a null (fuzz seed 22).
+TEST_F(AbstractHomTest, FragmentsOfOneAnnotatedNullJoinWithinAPiece) {
+  auto t_plus = schema_.AddRelationPair("T", {"a", "b"}, SchemaRole::kTarget);
+  ASSERT_TRUE(t_plus.ok());
+  const RelationId t = *schema_.TwinOf(*t_plus);
+  const Value c = u_.Constant("c");
+  const Value d = u_.Constant("d");
+
+  // Pieces [0,1), [1,2) and an empty unbounded tail.
+  const auto three_pieces = [&](Instance first, Instance second) {
+    AbstractInstance ia(&schema_);
+    ia.AddPiece(Interval(0, 1), std::move(first));
+    ia.AddPiece(Interval(1, 2), std::move(second));
+    ia.AddPiece(Interval::FromStart(2), Instance(&schema_));
+    EXPECT_TRUE(ia.ValidateCover().ok());
+    return ia;
+  };
+
+  const Value a = u_.FreshAnnotatedNull(Interval(0, 1));
+  const Value b = u_.FreshAnnotatedNull(Interval(1, 2));
+  Instance from0(&schema_), from1(&schema_);
+  from0.Insert(t, {a, d});
+  from1.Insert(t, {c, b});
+  from1.Insert(t, {b, d});
+  const AbstractInstance from = three_pieces(std::move(from0),
+                                             std::move(from1));
+
+  const Value n = u_.FreshAnnotatedNull(Interval(0, 2));
+  const Value n_tail = Value::AnnotatedNull(n.null_id(), Interval(1, 2));
+  Instance to0(&schema_), to1(&schema_);
+  to0.Insert(t, {n, d});
+  to1.Insert(t, {c, n_tail});
+  to1.Insert(t, {n, d});
+  const AbstractInstance to = three_pieces(std::move(to0), std::move(to1));
+
+  EXPECT_TRUE(AbstractHomomorphismExists(from, to));
+  EXPECT_TRUE(AbstractHomomorphismExists(to, from));
+
+  // With two different nulls in the codomain nothing joins at snapshot 1.
+  const Value other = u_.FreshAnnotatedNull(Interval(1, 2));
+  Instance split0(&schema_), split1(&schema_);
+  split0.Insert(t, {n, d});
+  split1.Insert(t, {c, other});
+  split1.Insert(t, {n, d});
+  const AbstractInstance split =
+      three_pieces(std::move(split0), std::move(split1));
+  EXPECT_FALSE(AbstractHomomorphismExists(from, split));
+  EXPECT_TRUE(AbstractHomomorphismExists(split, from));
+}
+
 }  // namespace
 }  // namespace tdx

@@ -1,6 +1,6 @@
-// Kill-and-recover chaos harness: arm a fault site, let the engine die at
+// Kill-and-recover chaos harness: arm a fault site, let the c-chase die at
 // it, resume from the newest checkpoint, and require the final instance and
-// statistics to be bit-identical to an uninterrupted run. Every engine is
+// statistics to be bit-identical to an uninterrupted run. The c-chase is
 // deterministic, so a checkpoint at a safe point plus re-execution of the
 // work lost after it must reproduce the exact same trajectory — any
 // divergence is a checkpoint bug, not noise.
@@ -19,12 +19,8 @@
 #include "src/common/checkpoint.h"
 #include "src/common/resource.h"
 #include "src/core/cchase.h"
-#include "src/gen/workload.h"
 #include "src/parser/parser.h"
 #include "src/parser/printer.h"
-#include "src/relational/chase.h"
-#include "src/temporal/abstract_chase.h"
-#include "src/temporal/abstract_instance.h"
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -81,7 +77,10 @@ class CChaseChaosTest : public ::testing::TestWithParam<const char*> {
 
 TEST_P(CChaseChaosTest, KillResumeIsBitIdentical) {
   const CChaseBaseline baseline = RunCChaseBaseline();
-  const char* site = GetParam();
+  const std::string site = GetParam();
+  // Trigger collection fans out over the pool only when jobs > 1; jobs is
+  // not part of the checkpoint config, so the resumed run may use 1.
+  const unsigned jobs = site == "thread-pool/dispatch" ? 2 : 1;
 
   std::size_t kills = 0;
   for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
@@ -91,6 +90,7 @@ TEST_P(CChaseChaosTest, KillResumeIsBitIdentical) {
     checkpointer.set_max_overhead(0);
     CChaseOptions options;
     options.checkpointer = &checkpointer;
+    options.jobs = jobs;
 
     bool killed = false;
     {
@@ -136,210 +136,9 @@ INSTANTIATE_TEST_SUITE_P(AllSites, CChaseChaosTest,
                                            "cchase/tgd-phase",
                                            "cchase/normalize-target",
                                            "cchase/egd-fixpoint",
-                                           "normalize/algorithm1"),
+                                           "normalize/algorithm1",
+                                           "thread-pool/dispatch"),
                          SiteTestName);
-
-// ---------------------------------------------------------------------------
-// Snapshot engine: same harness over the relational chase.
-// ---------------------------------------------------------------------------
-
-class SnapshotChaosTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void TearDown() override { FaultRegistry::DisarmAll(); }
-
-  static EmploymentConfig Config() {
-    EmploymentConfig cfg;
-    cfg.num_people = 10;
-    cfg.num_companies = 3;
-    cfg.seed = 7;
-    return cfg;
-  }
-};
-
-TEST_P(SnapshotChaosTest, KillResumeIsBitIdentical) {
-  const char* site = GetParam();
-
-  // Baseline: chase the first piece's snapshot uninterrupted.
-  auto base_w = MakeEmploymentWorkload(Config());
-  auto base_ia = AbstractInstance::FromConcrete(base_w->source);
-  ASSERT_TRUE(base_ia.ok()) << base_ia.status();
-  ASSERT_FALSE(base_ia->pieces().empty());
-  auto base_outcome = ChaseSnapshot(base_ia->pieces()[0].snapshot,
-                                    base_w->mapping, &base_w->universe);
-  ASSERT_TRUE(base_outcome.ok()) << base_outcome.status();
-  ASSERT_EQ(base_outcome->kind, ChaseResultKind::kSuccess);
-  const std::string baseline =
-      RenderInstanceTables(base_outcome->target, base_w->universe);
-
-  std::size_t kills = 0;
-  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    ASSERT_TRUE(ia.ok()) << ia.status();
-    Checkpointer checkpointer("", &w->schema, &w->universe);
-    checkpointer.set_cadence(1);
-    checkpointer.set_max_overhead(0);
-    ChaseOptions options;
-    options.checkpointer = &checkpointer;
-
-    bool killed = false;
-    {
-      ScopedFault fault(site, Injected(), skip);
-      auto outcome = ChaseSnapshot(ia->pieces()[0].snapshot, w->mapping,
-                                   &w->universe, options);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      if (outcome->kind == ChaseResultKind::kSuccess) {
-        EXPECT_EQ(RenderInstanceTables(outcome->target, w->universe),
-                  baseline);
-        break;
-      }
-      ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-      EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-      killed = true;
-    }
-    if (!killed) break;
-    ++kills;
-
-    ChaseOptions resume_options;
-    resume_options.resume_from = checkpointer.latest().has_value()
-                                     ? &*checkpointer.latest()
-                                     : nullptr;
-    auto resumed = ChaseSnapshot(ia->pieces()[0].snapshot, w->mapping,
-                                 &w->universe, resume_options);
-    ASSERT_TRUE(resumed.ok()) << resumed.status();
-    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-    EXPECT_EQ(RenderInstanceTables(resumed->target, w->universe), baseline)
-        << "divergence after kill at " << site << "@" << skip;
-  }
-  EXPECT_GT(kills, 0u) << "site " << site << " was never reached";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSites, SnapshotChaosTest,
-                         ::testing::Values("chase/tgd-phase",
-                                           "chase/egd-fixpoint"),
-                         SiteTestName);
-
-// ---------------------------------------------------------------------------
-// Abstract engine: per-piece checkpoints, sequential and parallel.
-// ---------------------------------------------------------------------------
-
-class AbstractChaosTest : public ::testing::Test {
- protected:
-  void TearDown() override { FaultRegistry::DisarmAll(); }
-
-  static EmploymentConfig Config() {
-    EmploymentConfig cfg;
-    cfg.num_people = 8;
-    cfg.num_companies = 3;
-    cfg.seed = 11;
-    return cfg;
-  }
-
-  struct Baseline {
-    std::string rendered;
-    ChaseStats stats;
-  };
-
-  static Baseline RunBaseline(unsigned jobs) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    EXPECT_TRUE(ia.ok()) << ia.status();
-    AbstractChaseOptions options;
-    options.jobs = jobs;
-    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-    EXPECT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_EQ(outcome->kind, ChaseResultKind::kSuccess);
-    return {RenderAbstractInstance(outcome->target, w->universe),
-            outcome->stats};
-  }
-};
-
-TEST_F(AbstractChaosTest, SequentialMergeKillResumeIsBitIdentical) {
-  const Baseline baseline = RunBaseline(1);
-
-  std::size_t kills = 0;
-  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    ASSERT_TRUE(ia.ok()) << ia.status();
-    Checkpointer checkpointer("", &w->schema, &w->universe);
-    checkpointer.set_cadence(1);
-    checkpointer.set_max_overhead(0);
-    AbstractChaseOptions options;
-    options.checkpointer = &checkpointer;
-
-    bool killed = false;
-    {
-      ScopedFault fault("abstract-chase/merge", Injected(), skip);
-      auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      if (outcome->kind == ChaseResultKind::kSuccess) {
-        EXPECT_EQ(RenderAbstractInstance(outcome->target, w->universe),
-                  baseline.rendered);
-        break;
-      }
-      ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-      EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-      EXPECT_TRUE(outcome->failure_span.has_value());
-      killed = true;
-    }
-    if (!killed) break;
-    ++kills;
-
-    AbstractChaseOptions resume_options;
-    resume_options.resume_from = checkpointer.latest().has_value()
-                                     ? &*checkpointer.latest()
-                                     : nullptr;
-    auto resumed =
-        AbstractChase(*ia, w->mapping, &w->universe, resume_options);
-    ASSERT_TRUE(resumed.ok()) << resumed.status();
-    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-    EXPECT_EQ(RenderAbstractInstance(resumed->target, w->universe),
-              baseline.rendered)
-        << "divergence after kill at abstract-chase/merge@" << skip;
-    ExpectSameStats(resumed->stats, baseline.stats);
-  }
-  EXPECT_GT(kills, 0u);
-}
-
-TEST_F(AbstractChaosTest, ParallelDispatchDropResumesBitIdentical) {
-  const Baseline baseline = RunBaseline(4);
-
-  auto w = MakeEmploymentWorkload(Config());
-  auto ia = AbstractInstance::FromConcrete(w->source);
-  ASSERT_TRUE(ia.ok()) << ia.status();
-  ASSERT_GT(ia->pieces().size(), 1u);
-  Checkpointer checkpointer("", &w->schema, &w->universe);
-  checkpointer.set_cadence(1);
-  checkpointer.set_max_overhead(0);
-  AbstractChaseOptions options;
-  options.jobs = 4;
-  options.checkpointer = &checkpointer;
-
-  {
-    // Drop one pool task mid-fan-out: the engine must surface a clean abort
-    // with the stats of the pieces merged before the hole, never touch the
-    // unfilled slot, and leak nothing (ASan/TSan-checked in CI).
-    ScopedFault fault("thread-pool/dispatch", Injected());
-    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-    EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-    EXPECT_TRUE(outcome->failure_span.has_value());
-  }
-
-  AbstractChaseOptions resume_options;
-  resume_options.jobs = 4;
-  resume_options.resume_from = checkpointer.latest().has_value()
-                                   ? &*checkpointer.latest()
-                                   : nullptr;
-  auto resumed = AbstractChase(*ia, w->mapping, &w->universe, resume_options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-  EXPECT_EQ(RenderAbstractInstance(resumed->target, w->universe),
-            baseline.rendered);
-  ExpectSameStats(resumed->stats, baseline.stats);
-}
 
 // ---------------------------------------------------------------------------
 // Budget: a resumed run charges the remaining allowance, not a fresh one.

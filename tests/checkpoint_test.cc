@@ -1,9 +1,9 @@
 // Checkpoint/resume mechanics: the durable encoding round-trips every field
 // (interval-annotated nulls included), the loader rejects anything it cannot
 // trust (wrong program, wrong version, torn or tampered file), the cadence
-// gates round-level safe points, and the engines refuse checkpoints written
-// under different execution options. The end-to-end kill/resume guarantees
-// live in tests/chaos_resume_test.cc.
+// gates round-level safe points, and the c-chase refuses checkpoints
+// written under different execution options. The end-to-end kill/resume
+// guarantees live in tests/chaos_resume_test.cc.
 
 #include "src/common/checkpoint.h"
 
@@ -75,7 +75,10 @@ TEST(CheckpointRoundTripTest, SerializeParseIsIdentity) {
   auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
 
-  EXPECT_EQ(parsed->engine, original.engine);
+  // The v1 layout keeps its engine and piece-cursor lines, so files from
+  // builds that also checkpointed other engines stay byte-compatible.
+  EXPECT_EQ(text->rfind("tdxckpt v1\nengine cchase\n", 0), 0u);
+  EXPECT_NE(text->find("\npiece-cursor 0\n"), std::string::npos);
   EXPECT_EQ(parsed->program_fingerprint, original.program_fingerprint);
   EXPECT_EQ(parsed->config, original.config);
   EXPECT_EQ(parsed->phase, original.phase);
@@ -138,24 +141,34 @@ TEST(CheckpointRoundTripTest, ScheduleSkipCountersRoundTrip) {
   EXPECT_EQ(parsed->stats.skipped_normalize_passes, 9u);
 }
 
-// Rewrites the checkpoint's stats line to its first `keep` fields and
-// re-signs the checksum, imitating a file written by an older build.
-std::string TruncateStatsLine(const std::string& text, int keep) {
+// Replaces the body's first occurrence of `from` with `to` and re-signs
+// the checksum, imitating a file written by another build.
+std::string EditBody(const std::string& text, const std::string& from,
+                     const std::string& to) {
   const std::size_t end_pos = text.rfind("\nend ");
   EXPECT_NE(end_pos, std::string::npos);
   std::string body = text.substr(0, end_pos + 1);
-  const std::size_t line_start = body.find("\nstats ") + 1;
-  EXPECT_NE(line_start, std::string::npos + 1);
-  const std::size_t line_end = body.find('\n', line_start);
-  std::istringstream fields(body.substr(line_start, line_end - line_start));
-  std::string token, rebuilt;
-  fields >> rebuilt;  // "stats"
-  for (int i = 0; i < keep && (fields >> token); ++i) rebuilt += " " + token;
-  body.replace(line_start, line_end - line_start, rebuilt);
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  body.replace(at, from.size(), to);
   char checksum[17];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
                 static_cast<unsigned long long>(FingerprintText(body)));
   return body + "end " + checksum + "\n";
+}
+
+// Rewrites the checkpoint's stats line to its first `keep` fields,
+// imitating a file written by an older build.
+std::string TruncateStatsLine(const std::string& text, int keep) {
+  const std::size_t line_start = text.find("\nstats ") + 1;
+  EXPECT_NE(line_start, std::string::npos + 1);
+  const std::size_t line_end = text.find('\n', line_start);
+  const std::string line = text.substr(line_start, line_end - line_start);
+  std::istringstream fields(line);
+  std::string token, rebuilt;
+  fields >> rebuilt;  // "stats"
+  for (int i = 0; i < keep && (fields >> token); ++i) rebuilt += " " + token;
+  return EditBody(text, line, rebuilt);
 }
 
 TEST(CheckpointRoundTripTest, LegacyFiveFieldStatsLineDecodes) {
@@ -276,11 +289,7 @@ TEST(CheckpointerTest, CadenceGatesRoundPointsNotBoundaries) {
   checkpointer.set_cadence(3);
   checkpointer.set_max_overhead(0);
 
-  auto build = [&] {
-    ChaseCheckpoint ck;
-    ck.engine = ChaseCheckpoint::Engine::kCChase;
-    return ck;
-  };
+  auto build = [] { return ChaseCheckpoint(); };
   // Boundaries always persist.
   EXPECT_TRUE(checkpointer.AtSafePoint(true, build));
   // Round points persist on every 3rd offer only.
@@ -310,15 +319,34 @@ TEST(CheckpointerTest, WriteFailureIsRecordedNotFatal) {
 }
 
 TEST(CheckpointResumeValidationTest, RejectsWrongEngine) {
+  // Only the c-chase checkpoints. A file naming another engine, or carrying
+  // the abstract chase's piece cursor or piece sections, is malformed, and
+  // the message names what was found.
   auto program = ParseOrDie(kPaperProgram);
-  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ck.engine = ChaseCheckpoint::Engine::kSnapshot;
-  CChaseOptions options;
-  options.resume_from = &ck;
-  auto outcome =
-      CChase(program->source, program->lifted, &program->universe, options);
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  const std::string path = TempPath("wrong_engine.tdxckpt");
+  const auto expect_rejected = [&](const std::string& edited,
+                                   const std::string& named) {
+    WriteAll(path, edited);
+    auto loaded = LoadChaseCheckpoint(path, kPaperProgram, &program->schema,
+                                      &program->universe);
+    ASSERT_FALSE(loaded.ok()) << named;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(named), std::string::npos)
+        << loaded.status();
+  };
+  expect_rejected(EditBody(*text, "\nengine cchase\n", "\nengine snapshot\n"),
+                  "snapshot");
+  expect_rejected(EditBody(*text, "\nengine cchase\n", "\nengine abstract\n"),
+                  "abstract");
+  expect_rejected(EditBody(*text, "\npiece-cursor 0\n", "\npiece-cursor 2\n"),
+                  "piece-cursor 2");
+  expect_rejected(EditBody(*text, "\ninstance target ",
+                           "\npiece [0,inf) 0\ninstance target "),
+                  "piece");
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointResumeValidationTest, RejectsDifferentExecutionOptions) {

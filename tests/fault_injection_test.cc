@@ -232,21 +232,28 @@ TEST_F(FaultInjectionTest, ParserSiteWithSkipCountFailsMidProgram) {
 TEST_F(FaultInjectionTest, DispatchSiteDropsExactlyOneTaskInline) {
   ScopedFault fault("thread-pool/dispatch", Injected());
   std::vector<char> ran(8, 0);
-  ParallelFor(1, ran.size(), [&](std::size_t i) { ran[i] = 1; });
+  const bool all_ran =
+      ParallelFor(1, ran.size(), [&](std::size_t i) { ran[i] = 1; });
   std::size_t executed = 0;
   for (const char r : ran) executed += static_cast<std::size_t>(r);
-  // One task was "killed" between dequeue and execution; the rest ran.
+  // One task was "killed" between dequeue and execution; the rest ran, and
+  // the caller is told.
   EXPECT_EQ(executed, ran.size() - 1);
+  EXPECT_FALSE(all_ran);
+  EXPECT_TRUE(ParallelFor(1, ran.size(), [](std::size_t) {}));
 }
 
 TEST_F(FaultInjectionTest, DispatchSiteDropsExactlyOneTaskPooled) {
   ScopedFault fault("thread-pool/dispatch", Injected());
   std::vector<std::atomic<char>> ran(16);
   for (auto& r : ran) r.store(0);
-  ParallelFor(4, ran.size(), [&](std::size_t i) { ran[i].store(1); });
+  const bool all_ran =
+      ParallelFor(4, ran.size(), [&](std::size_t i) { ran[i].store(1); });
   std::size_t executed = 0;
   for (const auto& r : ran) executed += static_cast<std::size_t>(r.load());
   EXPECT_EQ(executed, ran.size() - 1);
+  EXPECT_FALSE(all_ran);
+  EXPECT_TRUE(ParallelFor(4, ran.size(), [](std::size_t) {}));
 }
 
 TEST_F(FaultInjectionTest, AbstractMergeSiteAbortsWithPieceSpan) {

@@ -129,11 +129,11 @@ TEST(MetricsRegistry, ParallelWritersMergeDeterministically) {
   constexpr std::size_t kTasks = 64;
   constexpr std::uint64_t kPerTask = 1000;
   for (int round = 0; round < 3; ++round) {
-    ParallelFor(8, kTasks, [&](std::size_t i) {
+    EXPECT_TRUE(ParallelFor(8, kTasks, [&](std::size_t i) {
       counter.Inc(kPerTask);
       histogram.Record(i);
       gauge.Set(i);
-    });
+    }));
   }
   const MetricsSnapshot snap = MetricsRegistry::Instance().Snapshot();
   const MetricValue* c = snap.Find("obs_test.parallel_counter");
@@ -157,10 +157,10 @@ TEST(MetricsRegistry, ShardsAreRecycledAcrossPools) {
   // second task while another worker (starting late under load) runs none.
   const auto round = [&] {
     std::latch all_running(4);
-    ParallelFor(4, 4, [&](std::size_t) {
+    EXPECT_TRUE(ParallelFor(4, 4, [&](std::size_t) {
       counter.Inc();
       all_running.arrive_and_wait();
-    });
+    }));
   };
   for (int i = 0; i < 4; ++i) round();
   const std::size_t after_first_rounds =
@@ -291,12 +291,12 @@ TEST(Trace, SpansNestPerThread) {
   {
     ScopedTracer installed(&tracer);
     TDX_TRACE_SPAN("root");
-    ParallelFor(4, 16, [&](std::size_t i) {
+    EXPECT_TRUE(ParallelFor(4, 16, [&](std::size_t i) {
       TDX_TRACE_SPAN("task");
       if (i % 2 == 0) {
         TDX_TRACE_SPAN("subtask");
       }
-    });
+    }));
   }
   const Json events = ParseTrace(tracer);
   ASSERT_GE(events.items().size(), 25u);

@@ -66,8 +66,8 @@ TEST(ThreadPoolTest, HardwareJobsIsPositive) {
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (unsigned jobs : {1u, 2u, 5u, 16u}) {
     std::vector<std::atomic<int>> hits(37);
-    ParallelFor(jobs, hits.size(),
-                [&](std::size_t i) { hits[i].fetch_add(1); });
+    EXPECT_TRUE(ParallelFor(jobs, hits.size(),
+                            [&](std::size_t i) { hits[i].fetch_add(1); }));
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "jobs=" << jobs << " i=" << i;
     }
@@ -76,14 +76,14 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, ZeroCountIsANoOp) {
   std::atomic<int> counter{0};
-  ParallelFor(4, 0, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_TRUE(ParallelFor(4, 0, [&](std::size_t) { counter.fetch_add(1); }));
   EXPECT_EQ(counter.load(), 0);
 }
 
 TEST(ParallelForTest, ResultsLandAtTheirIndex) {
   std::vector<int> out(100, -1);
-  ParallelFor(8, out.size(),
-              [&](std::size_t i) { out[i] = static_cast<int>(i) * 3; });
+  EXPECT_TRUE(ParallelFor(
+      8, out.size(), [&](std::size_t i) { out[i] = static_cast<int>(i) * 3; }));
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * 3);
 }
 

@@ -610,11 +610,6 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
       std::cerr << checkpoint.status() << "\n";
       return kExitError;
     }
-    if (checkpoint->engine != tdx::ChaseCheckpoint::Engine::kCChase) {
-      std::cerr << "resume supports c-chase checkpoints only (run with "
-                   "'chase --checkpoint=...')\n";
-      return kExitError;
-    }
     options.resume_from = &*checkpoint;
     return RunChase(program, options, false);
   }
