@@ -48,7 +48,7 @@ std::ostream& operator<<(std::ostream& os, const Interval& iv) {
   return os << iv.ToString();
 }
 
-void AppendFragments(const Interval& iv, const std::vector<TimePoint>& cuts,
+void AppendFragments(const Interval& iv, std::span<const TimePoint> cuts,
                      std::vector<Interval>* out) {
   assert(std::is_sorted(cuts.begin(), cuts.end()));
   TimePoint cur = iv.start();

@@ -19,6 +19,7 @@
 #include <functional>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,8 +150,9 @@ std::vector<Interval> FragmentInterval(const Interval& iv,
 
 /// Appends the fragments of `iv` at the interior cuts in `cuts` to `*out`
 /// without clearing it. Same contract as FragmentInterval; this is the
-/// allocation-free form used by the normalizers' hot emission loops.
-void AppendFragments(const Interval& iv, const std::vector<TimePoint>& cuts,
+/// allocation-free form used by the normalizers' hot emission loops, whose
+/// cut points may be a segment of a shared buffer.
+void AppendFragments(const Interval& iv, std::span<const TimePoint> cuts,
                      std::vector<Interval>* out);
 
 /// Collects the distinct endpoints (starts and finite ends, including

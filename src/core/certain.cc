@@ -9,6 +9,20 @@
 
 namespace tdx {
 
+namespace {
+
+/// The chase's outcome kind and abort cause, with no answers yet.
+template <typename Outcome>
+CertainAnswersResult ResultOf(const Outcome& chase) {
+  CertainAnswersResult result;
+  result.chase_kind = chase.kind;
+  result.abort_dimension = chase.abort_dimension;
+  result.abort_reason = chase.abort_reason;
+  return result;
+}
+
+}  // namespace
+
 Result<CertainAnswersResult> CertainAnswers(const UnionQuery& lifted_query,
                                             const ConcreteInstance& source,
                                             const Mapping& lifted_mapping,
@@ -18,8 +32,7 @@ Result<CertainAnswersResult> CertainAnswers(const UnionQuery& lifted_query,
   options.limits = limits;
   TDX_ASSIGN_OR_RETURN(CChaseOutcome chase,
                        CChase(source, lifted_mapping, universe, options));
-  CertainAnswersResult result;
-  result.chase_kind = chase.kind;
+  CertainAnswersResult result = ResultOf(chase);
   // A failed OR aborted chase yields no target to evaluate; the kind tells
   // the caller which (kAborted answers are not certain, just absent).
   if (chase.kind != ChaseResultKind::kSuccess) return result;
@@ -36,8 +49,7 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
   TDX_ASSIGN_OR_RETURN(Instance snapshot, SnapshotAt(source, l, universe));
   TDX_ASSIGN_OR_RETURN(ChaseOutcome chase,
                        ChaseSnapshot(snapshot, mapping, universe, limits));
-  CertainAnswersResult result;
-  result.chase_kind = chase.kind;
+  CertainAnswersResult result = ResultOf(chase);
   if (chase.kind != ChaseResultKind::kSuccess) return result;
   result.answers = DropTuplesWithNulls(Evaluate(query, chase.target));
   return result;
@@ -69,8 +81,7 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
       TDX_ASSIGN_OR_RETURN(
           ChaseOutcome chase,
           ChaseSnapshot(snapshots[i], mapping, &scratch, limits));
-      CertainAnswersResult result;
-      result.chase_kind = chase.kind;
+      CertainAnswersResult result = ResultOf(chase);
       if (chase.kind != ChaseResultKind::kSuccess) return result;
       result.answers = DropTuplesWithNulls(Evaluate(query, chase.target));
       return result;
@@ -81,7 +92,12 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   results.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!slots[i].has_value()) {
-      results.emplace_back().chase_kind = ChaseResultKind::kAborted;
+      CertainAnswersResult& dropped = results.emplace_back();
+      dropped.chase_kind = ChaseResultKind::kAborted;
+      dropped.abort_dimension = ResourceDimension::kInjectedFault;
+      dropped.abort_reason =
+          Status::Internal("snapshot chase task was dropped before execution")
+              .ToString();
       continue;
     }
     TDX_ASSIGN_OR_RETURN(CertainAnswersResult result, std::move(*slots[i]));

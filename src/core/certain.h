@@ -18,6 +18,10 @@
 #ifndef TDX_CORE_CERTAIN_H_
 #define TDX_CORE_CERTAIN_H_
 
+#include <string>
+#include <vector>
+
+#include "src/common/resource.h"
 #include "src/core/cchase.h"
 #include "src/core/naive_eval.h"
 #include "src/relational/chase.h"
@@ -31,6 +35,10 @@ struct CertainAnswersResult {
   /// empty and MUST NOT be interpreted as certain.
   ChaseResultKind chase_kind = ChaseResultKind::kSuccess;
   std::vector<Tuple> answers;
+  /// For kAborted: the budget dimension that tripped (kInjectedFault for
+  /// an injected fault) and the guard's reason, as the chase reported them.
+  ResourceDimension abort_dimension = ResourceDimension::kNone;
+  std::string abort_reason;
 };
 
 /// certain(q, [[Ic]], M) as temporal tuples: runs the c-chase of `source`
@@ -59,7 +67,7 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
 /// tuples with nulls). results[i] corresponds to points[i] and is identical
 /// to CertainAnswersAt(query, source, mapping, points[i], ...) regardless
 /// of `jobs`. A point whose task the pool dropped (the thread-pool/dispatch
-/// fault site) reports kAborted.
+/// fault site) reports kAborted with dimension kInjectedFault.
 Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
     const UnionQuery& query, const ConcreteInstance& source,
     const Mapping& mapping, const std::vector<TimePoint>& points,

@@ -1,6 +1,8 @@
 #include "src/core/naive_eval.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -17,9 +19,10 @@ Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
   std::vector<Tuple> out;
   for (const ConjunctiveQuery& q : lifted.disjuncts) {
     TDX_FAULT_POINT("naive-eval/normalize");
-    // Step 1: normalize Jc w.r.t. the disjunct's body.
-    const ConcreteInstance normalized = Normalize(jc, {q.body}, nullptr,
-                                                  &guard);
+    // Step 1: normalize Jc w.r.t. the disjunct's body; an already
+    // normalized Jc is evaluated as it stands.
+    const std::optional<ConcreteInstance> normalized =
+        NormalizeIfNeeded(jc, {q.body}, nullptr, &guard);
     if (guard.tripped()) return guard.ToStatus();
 
     // Steps 2-4: the paper replaces each annotated null with a fresh
@@ -28,9 +31,13 @@ Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
     // identity — exactly how the fresh constants would compare — so the
     // rewrite is a no-op here: evaluate directly, then drop tuples that
     // contain any null.
-    std::vector<Tuple> answers =
-        DropTuplesWithNulls(Evaluate(q, normalized.facts()));
-    out.insert(out.end(), answers.begin(), answers.end());
+    std::vector<Tuple> answers = DropTuplesWithNulls(
+        Evaluate(q, normalized.has_value() ? normalized->facts() : jc.facts()));
+    // Evaluate returns its answers sorted and unique, and dropping keeps
+    // the order: one disjunct's answers are the union.
+    if (lifted.disjuncts.size() == 1) return answers;
+    out.insert(out.end(), std::make_move_iterator(answers.begin()),
+               std::make_move_iterator(answers.end()));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -5,6 +5,9 @@
 // disjunct q':
 //
 //   1. normalize Jc w.r.t. q' (so the shared temporal variable can bind);
+//      a Jc that the sort-and-sweep certificate of normalize.h proves
+//      already normalized w.r.t. q' — the usual case for a c-chase
+//      result — is used as it stands, with no hom sweep and no copy;
 //   2. replace every interval-annotated null N^[s,e) with a fresh constant
 //      c_{N,[s,e)} everywhere it occurs;
 //   3. evaluate q' by homomorphism enumeration (t binds to an interval);

@@ -24,6 +24,28 @@
 //    NormalizeState (normalize_incremental.h), whose incremental pass the
 //    c-chase uses across its target normalizations.
 //
+// Before that pass, Normalize tries to *certify* the instance normalized
+// (normalize_detail::CertifyNormalized), a sufficient check of Def. 10 in
+// O(n log n) per atom pair, in the endpoint-sweep style of period
+// normalization: for every phi* and every pair of its atoms (i, j), the
+// facts of R_i and R_j are bucketed by their values at the data variables
+// the two atoms share, and each bucket is sorted by interval and swept for
+// two facts, one per atom, whose intervals overlap but differ. If no bucket
+// has such a pair, every hom image with a nonempty intersection has
+// all-equal intervals (two of its facts with unequal overlapping intervals
+// would be such a pair), so every component of Algorithm 1 shares one
+// interval and the pass is the identity: the input is returned without a
+// hom sweep. Ignoring constants, the other atoms and hash collisions only
+// adds candidate pairs, so the check may decline a normalized instance
+// (the pass then runs and returns it unchanged) but never certifies one
+// that is not. A c-chase solution usually passes it, the source of a
+// mapping whose tgds join facts with overlapping intervals usually not.
+//
+// NormalizeState passes keep the hom sweep even on a certifiable instance:
+// their component labels feed the incremental watermark, the checkpoint
+// format and the reused-component count, and the sweep alone cannot
+// reproduce those labels.
+//
 // Both preserve the [[.]] semantics: fragments carry the original data
 // values, and annotated nulls are re-annotated to each fragment's interval
 // (fragments of one null still project onto the same null sequence).
@@ -32,6 +54,7 @@
 #define TDX_CORE_NORMALIZE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/resource.h"
@@ -84,12 +107,22 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 NormalizeStats* stats = nullptr,
                                 ResourceGuard* guard = nullptr);
 
-/// Algorithm 1, norm(Ic, Phi+). `phis` are temporal conjunctions — in the
-/// chase they are the lifted lhs of the s-t tgds or of the egds. Returns
-/// a copy of `instance` when no fact needs cutting. See NaiveNormalize for
-/// the `guard` contract. This is the empty-watermark
-/// pass of NormalizeState (normalize_incremental.h), which the c-chase
-/// keeps across its target passes.
+/// Algorithm 1, norm(Ic, Phi+), without the copy: nullopt when the output
+/// equals `instance` (certified normalized, or no fact needed cutting),
+/// the normalized instance otherwise. `phis` are temporal conjunctions — in
+/// the chase they are the lifted lhs of the s-t tgds or of the egds. An
+/// uncertified pass is the empty-watermark pass of NormalizeState
+/// (normalize_incremental.h). A certified pass keeps the guard contract of
+/// NaiveNormalize: it resets the fragment count, fires the
+/// "normalize/algorithm1" site, polls the deadline and charges one
+/// fragment per fact, as the identity pass would; its stats count no homs
+/// and no groups. Counted by the normalize.certified_passes metric.
+std::optional<ConcreteInstance> NormalizeIfNeeded(
+    const ConcreteInstance& instance, const std::vector<Conjunction>& phis,
+    NormalizeStats* stats = nullptr, ResourceGuard* guard = nullptr);
+
+/// NormalizeIfNeeded, returning a copy of `instance` when no fact needs
+/// cutting. See NaiveNormalize for the `guard` contract.
 ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats = nullptr,

@@ -1,5 +1,5 @@
 // Internals shared by the normalization pass (normalize_incremental.h) and
-// the empty-intersection-property check (normalize.h).
+// the empty-intersection-property checks (normalize.h).
 
 #ifndef TDX_CORE_NORMALIZE_DETAIL_H_
 #define TDX_CORE_NORMALIZE_DETAIL_H_
@@ -12,6 +12,7 @@
 
 #include "src/common/interval.h"
 #include "src/relational/homomorphism.h"
+#include "src/temporal/concrete_instance.h"
 
 namespace tdx::normalize_detail {
 
@@ -24,6 +25,14 @@ inline std::optional<Interval> IntersectIntervals(const AtomImage& image) {
   }
   return acc;
 }
+
+/// A sufficient check of the empty intersection property (Definition 10)
+/// of `instance` w.r.t. `phis` by a sort-and-sweep per atom pair of each
+/// phi*; see normalize.h for the argument. True means `instance` is
+/// normalized and Algorithm 1 would return it unchanged; false means
+/// nothing.
+bool CertifyNormalized(const ConcreteInstance& instance,
+                       const std::vector<Conjunction>& phis);
 
 /// Union-find over dense fact indices, resettable so the incremental
 /// normalizer can reuse its allocation across passes.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <span>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -318,45 +318,86 @@ NormalizeState::PassResult NormalizeState::Pass(
   }
   if (!deadline_ok || (guard != nullptr && guard->tripped())) return give_up();
 
-  // Distinct start/end points per dirty component (TP_Delta, lines 11-13).
-  struct Component {
-    std::vector<TimePoint> cuts;
-    std::uint32_t label = kUngrouped;
-  };
-  std::map<std::size_t, Component> components;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (grouped_[i] == 0) continue;
-    const FactView f = fact_at(i);
-    std::vector<TimePoint>& pts = components[uf_.Find(i)].cuts;
-    const Interval iv = f.interval();
-    pts.push_back(iv.start());
-    if (!iv.unbounded()) pts.push_back(iv.end());
-    if (is_old(f)) {
-      const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
-      if (prev != kUngrouped) prev_touched[prev] = 1;
+  // Components of the overlap graph, keyed by union-find root. A component
+  // whose facts all carry one interval cuts nothing: its distinct
+  // start/end points (TP_Delta, lines 11-13) are that interval's own. Only
+  // a *mixed* component, whose facts carry at least two intervals, needs
+  // its cut points; they go into one CSR buffer.
+  if (++pass_stamp_ == 0) {
+    for (Component& c : components_) c.stamp = 0;
+    pass_stamp_ = 1;
+  }
+  components_.resize(total);
+  roots_.clear();
+  std::size_t num_mixed = 0;
+  for (RelationId r = 0; r < num_rels; ++r) {
+    const FactColumn column = facts.facts(r);
+    for (std::uint32_t pos = 0; pos < column.size(); ++pos) {
+      const std::size_t i = base_[r] + pos;
+      if (grouped_[i] == 0) continue;
+      const Interval iv = column[pos].interval();
+      const std::uint32_t points = iv.unbounded() ? 1 : 2;
+      const std::size_t root = uf_.Find(i);
+      Component& c = components_[root];
+      if (c.stamp != pass_stamp_) {
+        c = Component{pass_stamp_, iv.start(), iv.end(), false, 0, points,
+                      kUngrouped};
+        roots_.push_back(root);
+      } else {
+        c.cuts_size += points;
+        if (!c.mixed && (iv.start() != c.start || iv.end() != c.end)) {
+          c.mixed = true;
+          ++num_mixed;
+        }
+      }
+      if (pos < MarkOf(r)) {
+        const std::uint32_t prev = comp_of_[r][pos];
+        if (prev != kUngrouped) prev_touched[prev] = 1;
+      }
     }
   }
-  for (auto& [root, component] : components) {
-    std::vector<TimePoint>& pts = component.cuts;
-    std::sort(pts.begin(), pts.end());
-    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  std::uint32_t cut_total = 0;
+  for (const std::size_t root : roots_) {
+    Component& c = components_[root];
+    if (!c.mixed) continue;
+    c.cuts_begin = cut_total;
+    cut_total += c.cuts_size;
+    c.cuts_size = 0;  // refilled below
+  }
+  cuts_.resize(cut_total);
+  if (num_mixed > 0) {
+    for (RelationId r = 0; r < num_rels; ++r) {
+      const FactColumn column = facts.facts(r);
+      for (std::uint32_t pos = 0; pos < column.size(); ++pos) {
+        const std::size_t i = base_[r] + pos;
+        if (grouped_[i] == 0) continue;
+        Component& c = components_[uf_.Find(i)];
+        if (!c.mixed) continue;
+        const Interval iv = column[pos].interval();
+        cuts_[c.cuts_begin + c.cuts_size++] = iv.start();
+        if (!iv.unbounded()) cuts_[c.cuts_begin + c.cuts_size++] = iv.end();
+      }
+    }
+    for (const std::size_t root : roots_) {
+      Component& c = components_[root];
+      if (!c.mixed) continue;
+      const auto first = cuts_.begin() + c.cuts_begin;
+      std::sort(first, first + c.cuts_size);
+      c.cuts_size = static_cast<std::uint32_t>(
+          std::unique(first, first + c.cuts_size) - first);
+    }
   }
 
   // The output equals the input unless some grouped fact has a cut strictly
-  // inside its interval: an uncut fact's one fragment is the fact itself
-  // (its nulls already carry its interval, see ConcreteInstance::Validate).
-  // Then nothing is rebuilt: the emission loop below only charges the guard
-  // and labels the facts where they stand.
-  bool identity = true;
-  for (std::size_t i = 0; i < total && identity; ++i) {
-    if (grouped_[i] == 0) continue;
-    const FactView fact = fact_at(i);
-    const std::vector<TimePoint>& cuts =
-        components.find(uf_.Find(i))->second.cuts;
-    const auto next_cut =
-        std::upper_bound(cuts.begin(), cuts.end(), fact.interval().start());
-    identity = next_cut == cuts.end() || *next_cut >= fact.interval().end();
-  }
+  // inside its interval, i.e. unless some component is mixed: every group
+  // is a hom image with a nonempty intersection, so two unequal intervals
+  // in one group overlap and an endpoint of one lies strictly inside the
+  // other; and a component whose groups are all uniform is uniform, its
+  // groups being linked by shared facts. An uncut fact's one fragment is
+  // the fact itself (its nulls already carry its interval, see
+  // ConcreteInstance::Validate). Then nothing is rebuilt: the emission loop
+  // below only charges the guard and labels the facts where they stand.
+  const bool identity = num_mixed == 0;
 
   // Fragment grouped facts at their component's cut points (lines 14-18);
   // every other fact passes through unchanged. Dirty components take labels
@@ -365,7 +406,7 @@ NormalizeState::PassResult NormalizeState::Pass(
   // to the guard before it is inserted (an identity pass charges one per
   // fact, as its rebuild would), and labels record only the rows the
   // Instance kept (Insert dedups; an identity pass keeps every row).
-  const std::uint32_t num_dirty = static_cast<std::uint32_t>(components.size());
+  const std::uint32_t num_dirty = static_cast<std::uint32_t>(roots_.size());
   flat_labels_.clear();
   std::vector<std::uint32_t> prev_remap(num_components_, kUngrouped);
   std::uint32_t num_reused = 0;
@@ -379,12 +420,20 @@ NormalizeState::PassResult NormalizeState::Pass(
       const FactView fact = column[pos];
       std::uint32_t label = kUngrouped;
       if (grouped_[i] != 0) {
-        Component& component = components.find(uf_.Find(i))->second;
+        Component& component = components_[uf_.Find(i)];
         if (component.label == kUngrouped) component.label = next_label++;
         label = component.label;
         if (!identity) {
           subs.clear();
-          AppendFragments(fact.interval(), component.cuts, &subs);
+          if (component.mixed) {
+            AppendFragments(fact.interval(),
+                            std::span<const TimePoint>(
+                                cuts_.data() + component.cuts_begin,
+                                component.cuts_size),
+                            &subs);
+          } else {
+            subs.push_back(fact.interval());
+          }
           for (const Interval& sub : subs) {
             if (guard != nullptr && !guard->ChargeFragment()) {
               tripped = true;

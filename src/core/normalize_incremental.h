@@ -25,7 +25,8 @@
 //
 //  * With no valid watermark every fact is delta, and the pass is the full
 //    Algorithm 1: the homomorphism sweep enumerates each phi* over the whole
-//    instance. The free Normalize (normalize.h) is this case. Fault site:
+//    instance. The free Normalize (normalize.h) runs this case when its
+//    certificate cannot prove the instance already normalized. Fault site:
 //    "normalize/algorithm1".
 //
 //  * With a watermark, the sweep is seeded only from the delta suffix
@@ -126,10 +127,9 @@ class NormalizeState {
   /// Component label of a fact that belongs to no component.
   static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
 
-  friend ConcreteInstance tdx::Normalize(const ConcreteInstance& instance,
-                                         const std::vector<Conjunction>& phis,
-                                         NormalizeStats* stats,
-                                         ResourceGuard* guard);
+  friend std::optional<ConcreteInstance> tdx::NormalizeIfNeeded(
+      const ConcreteInstance& instance, const std::vector<Conjunction>& phis,
+      NormalizeStats* stats, ResourceGuard* guard);
 
   enum class PassResult {
     /// `*out` holds the output; the labels are filled for Record.
@@ -173,6 +173,27 @@ class NormalizeState {
   std::vector<char> enqueued_;
   std::vector<std::size_t> queue_;
   std::vector<std::size_t> base_;
+  /// One pass's component, stored at its union-find root's dense id. A
+  /// slot belongs to the current pass only while `stamp` == pass_stamp_,
+  /// so no pass clears the array.
+  struct Component {
+    std::uint32_t stamp = 0;
+    /// Interval of the component's first fact; `mixed` once another
+    /// differs.
+    TimePoint start = 0;
+    TimePoint end = 0;
+    bool mixed = false;
+    /// Mixed components only: their sorted distinct cut points are
+    /// cuts_[cuts_begin, cuts_begin + cuts_size).
+    std::uint32_t cuts_begin = 0;
+    std::uint32_t cuts_size = 0;
+    std::uint32_t label = kUngrouped;
+  };
+  std::vector<Component> components_;
+  std::uint32_t pass_stamp_ = 0;
+  /// This pass's component roots, in first-seen order.
+  std::vector<std::size_t> roots_;
+  std::vector<TimePoint> cuts_;
   /// The last pass's output labels in emission order, and its component
   /// count.
   std::vector<std::uint32_t> flat_labels_;

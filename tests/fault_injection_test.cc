@@ -16,6 +16,7 @@
 #include "src/core/cchase.h"
 #include "src/core/naive_eval.h"
 #include "src/core/normalize.h"
+#include "src/core/normalize_detail.h"
 #include "src/core/query.h"
 #include "src/parser/parser.h"
 #include "src/temporal/abstract_chase.h"
@@ -177,6 +178,20 @@ TEST_F(FaultInjectionTest, Algorithm1SiteTripsTheGuard) {
   EXPECT_EQ(guard.dimension(), ResourceDimension::kInjectedFault);
 }
 
+TEST_F(FaultInjectionTest, Algorithm1SiteTripsACertifiedPass) {
+  auto program = ParseOrDie(kPaperProgram);
+  const auto phis = program->lifted.TgdBodies();
+  const ConcreteInstance normalized = Normalize(program->source, phis);
+  ASSERT_TRUE(normalize_detail::CertifyNormalized(normalized, phis));
+  ScopedFault fault("normalize/algorithm1", Injected());
+  ResourceGuard guard;
+  NormalizeStats stats;
+  (void)NormalizeIfNeeded(normalized, phis, &stats, &guard);
+  EXPECT_TRUE(guard.tripped());
+  EXPECT_EQ(guard.dimension(), ResourceDimension::kInjectedFault);
+  EXPECT_TRUE(stats.partial);
+}
+
 TEST_F(FaultInjectionTest, UngovernedNormalizeIgnoresTheSite) {
   // Without a guard there is no abort channel; the site must not fire (and
   // must not crash).
@@ -202,10 +217,33 @@ TEST_F(FaultInjectionTest, NaiveEvalSiteReturnsTheArmedStatus) {
   auto lifted = LiftUnionQuery(**query, program->schema);
   ASSERT_TRUE(lifted.ok());
 
+  // The solution is certified normalized for the query: the site fires
+  // although no normalization pass runs.
+  ASSERT_TRUE(normalize_detail::CertifyNormalized(
+      chase->target, {lifted->disjuncts[0].body}));
+
   ScopedFault fault("naive-eval/normalize", Injected());
   auto answers = NaiveEvaluateConcrete(*lifted, chase->target);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status(), Injected());
+}
+
+TEST_F(FaultInjectionTest, Algorithm1SiteAbortsACertifiedEvaluation) {
+  auto program = ParseOrDie(kPaperProgram);
+  auto chase = CChase(program->source, program->lifted, &program->universe, {});
+  ASSERT_TRUE(chase.ok());
+  ASSERT_EQ(chase->kind, ChaseResultKind::kSuccess);
+  auto query = program->FindQuery("salaries");
+  ASSERT_TRUE(query.ok());
+  auto lifted = LiftUnionQuery(**query, program->schema);
+  ASSERT_TRUE(lifted.ok());
+  ASSERT_TRUE(normalize_detail::CertifyNormalized(
+      chase->target, {lifted->disjuncts[0].body}));
+
+  ScopedFault fault("normalize/algorithm1", Injected());
+  auto answers = NaiveEvaluateConcrete(*lifted, chase->target);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(FaultInjectionTest, ParserSiteReturnsTheArmedStatus) {

@@ -20,6 +20,7 @@
 #include "src/temporal/abstract_chase.h"
 #include "src/temporal/snapshot.h"
 #include "src/temporal/abstract_hom.h"
+#include "tests/test_util.h"
 
 namespace tdx {
 namespace {
@@ -69,6 +70,24 @@ TEST_P(FuzzMappingSweep, NormalizationPropertiesOnRandomMappings) {
     ASSERT_TRUE(before.ok());
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(*before, *after) << "l=" << l;
+  }
+}
+
+// The sort-and-sweep certificate never certifies an instance the hom
+// sweep would cut, on the source, its normalized form and the c-chase
+// solution, for every conjunction set the chase normalizes against.
+TEST_P(FuzzMappingSweep, NormalizeCertificateIsSound) {
+  auto w = MakeWorkload();
+  const auto tgd_phis = w->lifted.TgdBodies();
+  testing::CheckCertificate(w->source, tgd_phis, w->universe);
+  testing::CheckCertificate(Normalize(w->source, tgd_phis), tgd_phis,
+                            w->universe);
+  auto concrete = CChase(w->source, w->lifted, &w->universe);
+  ASSERT_TRUE(concrete.ok()) << concrete.status();
+  if (concrete->kind != ChaseResultKind::kSuccess) return;
+  for (const auto& phis :
+       {w->lifted.EgdBodies(), w->lifted.TargetTgdBodies()}) {
+    testing::CheckCertificate(concrete->target, phis, w->universe);
   }
 }
 

@@ -303,6 +303,105 @@ TEST_F(NormalizeStateTest, FragmentBudgetTripsAtTheSameCountUncut) {
   }
 }
 
+// Pins the pass's component bookkeeping: labels in first-emission order,
+// the reused components remapped above the dirty ones, and the stats, after
+// a full pass and after an incremental one, on an instance with a uniform
+// component (one shared interval), a mixed one (cut) and ungrouped facts.
+TEST(NormalizeStateLabelsTest, FullThenIncrementalPassIsPinned) {
+  Universe u;
+  Schema schema;
+  const RelationId r = *schema.AddRelationPair("R", {"a"}, SchemaRole::kSource);
+  const RelationId s = *schema.AddRelationPair("S", {"a"}, SchemaRole::kSource);
+  ConcreteInstance ic(&schema);
+  const auto add = [&](RelationId rel, const char* name, const Interval& iv) {
+    ASSERT_TRUE(ic.Add(rel, {u.Constant(name)}, iv).ok());
+  };
+  // phi = R(x, t) & S(x, t).
+  Conjunction phi;
+  for (const RelationId rel : {r, s}) {
+    Atom atom;
+    atom.rel = rel;
+    atom.terms = {Term::Var(0), Term::Var(1)};
+    phi.atoms.push_back(atom);
+  }
+  phi.num_vars = 2;
+  const std::vector<Conjunction> phis = {phi};
+  // Per relation, the facts in order as "value[start,end)".
+  const auto rows = [&](RelationId rel) {
+    std::vector<std::string> out;
+    for (const FactView f : ic.facts().facts(rel)) {
+      out.push_back(u.Render(f.arg(0)) + f.interval().ToString());
+    }
+    return out;
+  };
+  // The relations other than R+ and S+ hold no facts.
+  const auto marks = [&](std::uint32_t r_mark, std::uint32_t s_mark) {
+    std::vector<std::uint32_t> out(schema.relation_count(), 0);
+    out[r] = r_mark;
+    out[s] = s_mark;
+    return out;
+  };
+  constexpr std::uint32_t kU = 0xFFFFFFFFu;  // ungrouped
+
+  add(r, "u", Interval(0, 10));  // uniform with S(u)
+  add(r, "m", Interval(0, 5));   // mixed with S(m)
+  add(r, "z", Interval(20, 30)); // ungrouped
+  add(s, "u", Interval(0, 10));
+  add(s, "m", Interval(3, 8));
+  add(s, "w", Interval(1, 2));   // ungrouped
+  NormalizeState state;
+  NormalizeStats stats;
+  state.Normalize(&ic, phis, &stats);
+  EXPECT_EQ(rows(r), (std::vector<std::string>{"u[0, 10)", "m[0, 3)",
+                                                "m[3, 5)", "z[20, 30)"}));
+  EXPECT_EQ(rows(s), (std::vector<std::string>{"u[0, 10)", "m[3, 5)",
+                                                "m[5, 8)", "w[1, 2)"}));
+  auto wm = state.Export(&ic.facts());
+  ASSERT_TRUE(wm.has_value());
+  EXPECT_EQ(wm->marks, marks(4, 4));
+  EXPECT_EQ(wm->labels,
+            (std::vector<std::uint32_t>{0, 1, 1, kU, 0, 1, 1, kU}));
+  EXPECT_EQ(wm->num_components, 2u);
+  EXPECT_EQ(stats.input_facts, 6u);
+  EXPECT_EQ(stats.output_facts, 8u);
+  EXPECT_EQ(stats.homomorphisms, 2u);
+  EXPECT_EQ(stats.groups, 2u);
+  EXPECT_EQ(stats.delta_facts, 6u);
+  EXPECT_EQ(stats.dirty_components, 2u);
+  EXPECT_EQ(stats.reused_components, 0u);
+
+  // The appended S(u) turns u's component mixed, R(v) and S(v) form a new
+  // uniform one, R(n) stays ungrouped and m's component is reused. S(u)'s
+  // fragment [5, 10) duplicates one of the old S(u)'s and is dropped.
+  add(r, "n", Interval(40, 50));
+  add(r, "v", Interval(0, 4));
+  add(s, "u", Interval(5, 15));
+  add(s, "v", Interval(0, 4));
+  ASSERT_TRUE(state.MatchesWatermark(ic));
+  state.Normalize(&ic, phis, &stats);
+  EXPECT_EQ(rows(r),
+            (std::vector<std::string>{"u[0, 5)", "u[5, 10)", "m[0, 3)",
+                                      "m[3, 5)", "z[20, 30)", "n[40, 50)",
+                                      "v[0, 4)"}));
+  EXPECT_EQ(rows(s),
+            (std::vector<std::string>{"u[0, 5)", "u[5, 10)", "m[3, 5)",
+                                      "m[5, 8)", "w[1, 2)", "u[10, 15)",
+                                      "v[0, 4)"}));
+  wm = state.Export(&ic.facts());
+  ASSERT_TRUE(wm.has_value());
+  EXPECT_EQ(wm->marks, marks(7, 7));
+  EXPECT_EQ(wm->labels, (std::vector<std::uint32_t>{0, 0, 2, 2, kU, kU, 1,
+                                                    0, 0, 2, 2, kU, 0, 1}));
+  EXPECT_EQ(wm->num_components, 3u);
+  EXPECT_EQ(stats.input_facts, 12u);
+  EXPECT_EQ(stats.output_facts, 14u);
+  EXPECT_EQ(stats.homomorphisms, 6u);
+  EXPECT_EQ(stats.groups, 2u);
+  EXPECT_EQ(stats.delta_facts, 4u);
+  EXPECT_EQ(stats.dirty_components, 2u);
+  EXPECT_EQ(stats.reused_components, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Egd rewrites: NoteRewrite keeps the watermark across position-stable
 // merges; every other merge falls back to a full pass.

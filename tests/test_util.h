@@ -10,6 +10,9 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/normalize.h"
+#include "src/core/normalize_detail.h"
+#include "src/core/normalize_incremental.h"
 #include "src/parser/parser.h"
 #include "src/temporal/concrete_instance.h"
 
@@ -84,6 +87,31 @@ inline std::size_t CountFacts(const ConcreteInstance& instance,
   auto rel_id = instance.schema().Find(rel);
   if (!rel_id.ok()) return 0;
   return instance.facts().facts(*rel_id).size();
+}
+
+/// Checks the sort-and-sweep certificate of normalize.h on `instance`
+/// against the hom sweep, which a NormalizeState pass always runs: when the
+/// certificate holds, `instance` must have the empty intersection property
+/// and the reference pass must return it unchanged; either way the free
+/// Normalize must produce the reference's output. Returns whether the
+/// certificate held.
+inline bool CheckCertificate(const ConcreteInstance& instance,
+                             const std::vector<Conjunction>& phis,
+                             const Universe& u) {
+  const bool certified =
+      normalize_detail::CertifyNormalized(instance, phis);
+  ConcreteInstance reference = instance;
+  NormalizeState state;
+  NormalizeStats stats;
+  state.Normalize(&reference, phis, &stats);
+  const std::string expected = reference.facts().ToString(u);
+  if (certified) {
+    EXPECT_TRUE(HasEmptyIntersectionProperty(instance, phis));
+    EXPECT_EQ(stats.output_facts, stats.input_facts);
+    EXPECT_EQ(expected, instance.facts().ToString(u));
+  }
+  EXPECT_EQ(Normalize(instance, phis).facts().ToString(u), expected);
+  return certified;
 }
 
 }  // namespace tdx::testing

@@ -387,8 +387,7 @@ int RunQueryAt(tdx::ParsedProgram& program, const CliOptions& options,
     std::cout << "--- certain(" << positional[2] << ", db_" << points[i]
               << ") ---\n";
     if (result.chase_kind == tdx::ChaseResultKind::kAborted) {
-      std::cout << "ABORTED: chase budget exhausted; answers are unknown\n";
-      return kExitAborted;
+      return ReportAbort(result.abort_dimension, result.abort_reason);
     }
     if (result.chase_kind == tdx::ChaseResultKind::kFailure) {
       std::cout << "NO SOLUTION\n";
@@ -451,8 +450,7 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
     return EXIT_FAILURE;
   }
   if (result->chase_kind == tdx::ChaseResultKind::kAborted) {
-    std::cout << "ABORTED: chase budget exhausted; answers are unknown\n";
-    return kExitAborted;
+    return ReportAbort(result->abort_dimension, result->abort_reason);
   }
   if (result->chase_kind == tdx::ChaseResultKind::kFailure) {
     std::cout << "NO SOLUTION\n";
