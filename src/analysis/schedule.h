@@ -23,7 +23,11 @@
 // Engines deliberately do NOT reorder rule firing by stratum: fresh-null
 // identities depend on the global fire order, and bit-identical output
 // versus the unscheduled chase is part of the engines' contract (the
-// chaos-resume harness diffs outputs byte-for-byte). When declarations are
+// chaos-resume harness diffs outputs byte-for-byte). The s-t phase does
+// fire full tgds before existential ones (relational/chase.h, TgdPhase),
+// but that order depends on the mapping alone, not on the schedule, so
+// scheduled and flat runs share it; a restricted chase is universal in any
+// fire order. Target tgds fire in declaration order; when declarations are
 // already topologically ordered — the common case, and what TDX022 nudges
 // programs toward — declaration-order rounds visit the strata in
 // topological order anyway.

@@ -2,12 +2,13 @@
 // runs. The snapshot and abstract chases are reference procedures that run
 // to completion under a budget; they take no checkpoints.
 //
-// A c-chase run is deterministic: tgds fire in declaration order with
-// triggers in canonical order, normalization and egd fixpoints are
-// deterministic functions of the instance, and fresh nulls are minted from a
-// counter. A checkpoint taken at a *safe point* — a phase boundary or the
-// seam between two target-tgd rounds — therefore captures everything needed
-// to continue the run to a bit-identical result: the target instance
+// A c-chase run is deterministic: tgds fire in an order fixed by the mapping
+// (s-t tgds full first, target tgds in declaration order) with triggers in
+// canonical order, normalization and egd fixpoints are deterministic
+// functions of the instance, and fresh nulls are minted from a counter. A
+// checkpoint taken at a *safe point* — a phase boundary or the seam between
+// two target-tgd rounds — therefore captures everything needed to continue
+// the run to a bit-identical result: the target instance
 // (including interval-annotated nulls, which the `fact` statement format
 // deliberately rejects — the checkpoint has its own durable encoding in
 // src/parser/serialize.h), the semi-naive DeltaFrontier, the round/phase

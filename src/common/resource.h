@@ -233,10 +233,13 @@ class ResourceGuard {
         fragments_(consumed.fragments) {
     if (limits_.deadline.has_value()) {
       if (prior_elapsed_ >= *limits_.deadline) {
+        // A zero deadline trips here with nothing consumed: only a ledger
+        // that carries time from an earlier run was spent "before resume".
         Trip(ResourceDimension::kWallClock,
              "wall-clock deadline of " +
-                 std::to_string(limits_.deadline->count()) +
-                 "ms already consumed before resume");
+                 std::to_string(limits_.deadline->count()) + "ms " +
+                 (prior_elapsed_.count() > 0 ? "already consumed before resume"
+                                             : "exceeded"));
       } else {
         deadline_ = start_ + (*limits_.deadline - prior_elapsed_);
       }

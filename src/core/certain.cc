@@ -36,8 +36,15 @@ Result<CertainAnswersResult> CertainAnswers(const UnionQuery& lifted_query,
   // A failed OR aborted chase yields no target to evaluate; the kind tells
   // the caller which (kAborted answers are not certain, just absent).
   if (chase.kind != ChaseResultKind::kSuccess) return result;
-  TDX_ASSIGN_OR_RETURN(
-      result.answers, NaiveEvaluateConcrete(lifted_query, chase.target, limits));
+  ResourceGuard guard(limits);
+  auto answers = NaiveEvaluateConcrete(lifted_query, chase.target, &guard);
+  if (guard.tripped()) {
+    result.chase_kind = ChaseResultKind::kAborted;
+    result.abort_dimension = guard.dimension();
+    result.abort_reason = guard.reason();
+    return result;
+  }
+  TDX_ASSIGN_OR_RETURN(result.answers, std::move(answers));
   return result;
 }
 

@@ -31,19 +31,22 @@ namespace tdx {
 struct CertainAnswersResult {
   /// kFailure means no solution exists; then certain answers are trivially
   /// "everything" (the paper leaves this case to convention) and `answers`
-  /// is empty. kAborted means the chase ran out of budget — `answers` is
-  /// empty and MUST NOT be interpreted as certain.
+  /// is empty. kAborted means the chase, or CertainAnswers' evaluation of
+  /// the query on its solution, ran out of budget — `answers` is empty and
+  /// MUST NOT be interpreted as certain.
   ChaseResultKind chase_kind = ChaseResultKind::kSuccess;
   std::vector<Tuple> answers;
   /// For kAborted: the budget dimension that tripped (kInjectedFault for
-  /// an injected fault) and the guard's reason, as the chase reported them.
+  /// an injected fault) and the guard's reason, as the aborted run reported
+  /// them.
   ResourceDimension abort_dimension = ResourceDimension::kNone;
   std::string abort_reason;
 };
 
 /// certain(q, [[Ic]], M) as temporal tuples: runs the c-chase of `source`
 /// under `lifted` and naive-evaluates the lifted query on the result.
-/// `limits` governs both the chase and the evaluation's normalization.
+/// `limits` governs the chase and, afresh, the evaluation's normalization;
+/// an abort in either is reported as kAborted with its dimension.
 Result<CertainAnswersResult> CertainAnswers(const UnionQuery& lifted_query,
                                             const ConcreteInstance& source,
                                             const Mapping& lifted_mapping,

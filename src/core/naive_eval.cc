@@ -14,16 +14,22 @@ namespace tdx {
 Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
                                                  const ConcreteInstance& jc,
                                                  const ChaseLimits& limits) {
-  TDX_RETURN_IF_ERROR(lifted.Validate());
   ResourceGuard guard(limits);
+  return NaiveEvaluateConcrete(lifted, jc, &guard);
+}
+
+Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
+                                                 const ConcreteInstance& jc,
+                                                 ResourceGuard* guard) {
+  TDX_RETURN_IF_ERROR(lifted.Validate());
   std::vector<Tuple> out;
   for (const ConjunctiveQuery& q : lifted.disjuncts) {
-    TDX_FAULT_POINT("naive-eval/normalize");
+    if (!guard->PokeFault("naive-eval/normalize")) return guard->ToStatus();
     // Step 1: normalize Jc w.r.t. the disjunct's body; an already
     // normalized Jc is evaluated as it stands.
     const std::optional<ConcreteInstance> normalized =
-        NormalizeIfNeeded(jc, {q.body}, nullptr, &guard);
-    if (guard.tripped()) return guard.ToStatus();
+        NormalizeIfNeeded(jc, {q.body}, nullptr, guard);
+    if (guard->tripped()) return guard->ToStatus();
 
     // Steps 2-4: the paper replaces each annotated null with a fresh
     // constant c_{N,[s,e)}, evaluates, and drops tuples containing fresh

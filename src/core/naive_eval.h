@@ -36,10 +36,17 @@ namespace tdx {
 /// `limits` bounds the per-disjunct normalization pass and the wall clock;
 /// exhaustion returns kResourceExhausted / kDeadlineExceeded (evaluation has
 /// no partial-outcome struct, so the abort is a Status). Fault site:
-/// "naive-eval/normalize".
+/// "naive-eval/normalize", which trips the guard like a budget does.
 Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
                                                  const ConcreteInstance& jc,
                                                  const ChaseLimits& limits = {});
+
+/// Same, charging the caller's `guard`. An abort returns guard->ToStatus()
+/// and leaves the guard tripped, so the caller can report its dimension and
+/// reason the way a chase abort is reported.
+Result<std::vector<Tuple>> NaiveEvaluateConcrete(const UnionQuery& lifted,
+                                                 const ConcreteInstance& jc,
+                                                 ResourceGuard* guard);
 
 /// The answers of q([[.]])! at snapshot l: evaluates the non-temporal UCQ
 /// on the materialized snapshot and drops tuples with nulls.

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -208,7 +209,7 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
 
 /// Collects the triggers of every member of `group` over `body` (through
 /// `body_finder`, or concurrently through per-task scratch finders when the
-/// plan allows), then fires the members in declaration order through
+/// plan allows), then fires the members in group order through
 /// `head_finder`. Trigger counts accrue per member right before its firing,
 /// so stats sequences match a collect-fire loop even across guard trips.
 /// Null finders (naive rounds, where `body` is `*target`) give each member a
@@ -283,6 +284,22 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
   return plan;
 }
 
+/// Plan for s-t tgds `tgds`: one group holding every tgd, stably sorted by
+/// existential-variable count, so full tgds fire first and declaration
+/// order breaks ties (TgdPhase says why). Scheduled and flat runs share it.
+TgdRunPlan BuildStTgdRunPlan(const std::vector<Tgd>& tgds, unsigned jobs) {
+  TgdRunPlan plan = BuildTgdRunPlan(tgds, nullptr, jobs, true);
+  std::vector<std::size_t> order(tgds.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tgds[a].existential.size() <
+                            tgds[b].existential.size();
+                   });
+  plan.groups = {std::move(order)};
+  return plan;
+}
+
 }  // namespace
 
 void TgdPhase(const Instance& source, Instance* target,
@@ -293,12 +310,8 @@ void TgdPhase(const Instance& source, Instance* target,
   // and the target finder's indexes absorb the phase's own inserts.
   HomomorphismFinder body_finder(source, &stats->search);
   HomomorphismFinder head_finder(*target, &stats->search);
-  std::vector<std::size_t> all;
-  for (const std::vector<std::size_t>& group : plan.groups) {
-    all.insert(all.end(), group.begin(), group.end());
-  }
-  RunGroup(all, tgds, plan, source, DeltaFrontier(), target, fresh, stats,
-           guard, &body_finder, &head_finder);
+  RunGroup(plan.groups.front(), tgds, plan, source, DeltaFrontier(), target,
+           fresh, stats, guard, &body_finder, &head_finder);
 }
 
 bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
@@ -340,7 +353,7 @@ ChaseRunPlan PlanChaseRun(const Mapping& mapping, const Schema& schema,
     schedule = mapping.schedule.has_value() ? &*mapping.schedule : &*derived;
   }
   ChaseRunPlan plan;
-  plan.st = BuildTgdRunPlan(mapping.st_tgds, nullptr, jobs, semi_naive);
+  plan.st = BuildStTgdRunPlan(mapping.st_tgds, jobs);
   plan.target =
       BuildTgdRunPlan(mapping.target_tgds, schedule, jobs, semi_naive);
   if (schedule == nullptr) {

@@ -94,7 +94,7 @@ struct ChaseOptions {
   bool scheduled = true;
   /// Worker threads for trigger collection within a provably
   /// non-interfering parallel group (ChaseSchedule::parallel_groups); 1 =
-  /// fully sequential. Firing stays sequential in declaration order
+  /// fully sequential. Firing stays sequential in the plan's fixed order
   /// regardless, so results are deterministic and jobs-independent.
   unsigned jobs = 1;
 };
@@ -122,9 +122,10 @@ struct ChaseOutcome {
 /// budget from the same source reproduces the identical solution
 /// (determinism is unaffected by where the budget cut the previous run).
 ///
-/// Deterministic: tgds fire in declaration order with triggers in canonical
-/// order; egds likewise. The result of a successful chase is a universal
-/// solution (Fagin et al., Theorem 3.3).
+/// Deterministic: tgds fire in a fixed order (s-t tgds full-first, see
+/// TgdPhase; target tgds in declaration order) with triggers in canonical
+/// order; egds in declaration order. The result of a successful chase is a
+/// universal solution (Fagin et al., Theorem 3.3).
 Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
                                    const Mapping& mapping, Universe* universe,
                                    const ChaseLimits& limits = {});
@@ -142,13 +143,14 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 // Both engines run one tgd path. A TgdRunPlan lists the rules to run as
 // consecutive groups whose trigger collections commute: each group collects
 // the triggers of all its members (concurrently under `jobs`) over the
-// instance as it stands, then fires the members in declaration order. The
+// instance as it stands, then fires the members in group order. The
 // engine variants are parameters of that one path: an unscheduled run is the
 // plan of singleton groups with nothing dead, and a naive round is a round
 // whose frontier covers the whole instance and whose tgds each get a cold
-// finder. Firing is ALWAYS sequential in declaration order, which keeps
-// fresh-null identities and therefore the whole outcome bit-identical across
-// schedules and job counts.
+// finder. Firing is ALWAYS sequential in an order fixed by the mapping alone
+// (the s-t phase full tgds first, target rounds declaration order), which
+// keeps fresh-null identities and therefore the whole outcome bit-identical
+// across schedules and job counts.
 // ---------------------------------------------------------------------------
 
 /// Mints the value substituted for an existential variable when `tgd` fires
@@ -233,9 +235,10 @@ class DeltaFrontier {
 
 /// The runtime form of a ChaseSchedule for one tgd vector.
 struct TgdRunPlan {
-  /// Indices into the tgd vector: live rules in declaration order,
-  /// partitioned into runs where no earlier member's head may feed a later
-  /// member's body.
+  /// Indices into the tgd vector. Target tgds: live rules in declaration
+  /// order, partitioned into runs where no earlier member's head may feed a
+  /// later member's body. S-t tgds: one group of every rule in fire order
+  /// (see TgdPhase).
   std::vector<std::vector<std::size_t>> groups;
   /// Per tgd (all indices, dead included): its head-visible universal
   /// variables, precomputed once per run instead of once per round.
@@ -252,8 +255,15 @@ struct TgdRunPlan {
 /// Phase 1: fires every s-t tgd trigger from `source` into `target`
 /// (restricted chase: triggers whose head is already witnessed are skipped).
 /// Every collection reads only the immutable source, so the plan's rules
-/// run as one group. Charges `guard` per fire/null/fact and stops early
-/// once it trips; the caller checks guard->tripped() to surface the abort.
+/// run as one group, collected in full before the first fire. The group
+/// fires full tgds (no existential variable) first, then by existential
+/// count, declaration order breaking ties: a full tgd's head then witnesses
+/// an existential trigger on the same source fragment, so the trigger mints
+/// no null that an egd would merge away. A restricted chase yields a
+/// universal solution in any fire order, so the order changes null ids and
+/// the amount of egd work, never the solution up to homomorphic
+/// equivalence. Charges `guard` per fire/null/fact and stops early once it
+/// trips; the caller checks guard->tripped() to surface the abort.
 void TgdPhase(const Instance& source, Instance* target,
               const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
               const FreshNullFactory& fresh, ChaseStats* stats,
@@ -277,7 +287,9 @@ bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
 /// its first step. The schedule (the mapping's, or one derived on the spot)
 /// steers only provably-no-op skips and parallel trigger collection; the
 /// fire order, and with it every fresh-null id, is the unscheduled one, so
-/// checkpoint config strings carry no scheduling fields.
+/// checkpoint config strings carry no scheduling fields. That fire order is
+/// a function of the mapping alone: `st` fires full s-t tgds before
+/// existential ones (see TgdPhase), `target` declaration order.
 struct ChaseRunPlan {
   TgdRunPlan st;
   TgdRunPlan target;

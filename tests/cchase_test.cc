@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/parser/printer.h"
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -76,6 +79,41 @@ TEST_F(PaperCChaseTest, NormalizedSourceIsFigure5) {
 TEST_F(PaperCChaseTest, TargetIsValidConcreteInstance) {
   EXPECT_TRUE(outcome_->target.Validate().ok());
   EXPECT_FALSE(outcome_->target.IsComplete());
+}
+
+// The s-t phase fires full tgds before existential ones whatever their
+// declaration order: with sigma2 declared first the solution, its null ids
+// and the stats are byte-identical to the paper's order, and sigma1 mints
+// only the two nulls sigma2 cannot witness (Ada/IBM's N0, Bob/IBM's N1).
+TEST(CChaseTest, FullStTgdsFireFirstInEitherDeclarationOrder) {
+  const std::string sigma1 = "tgd sigma1: E(n, c) -> exists s: Emp(n, c, s);\n";
+  const std::string sigma2 =
+      "tgd sigma2: E(n, c) & S(n, s) -> Emp(n, c, s);\n";
+  std::string swapped(testing::kPaperProgram);
+  const std::size_t at = swapped.find(sigma1);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t indent = swapped.find(sigma2) - at - sigma1.size();
+  swapped.replace(at, sigma1.size() + indent + sigma2.size(),
+                  sigma2 + std::string(indent, ' ') + sigma1);
+  ASSERT_LT(swapped.find("sigma2"), swapped.find("sigma1"));
+
+  auto declared = ParseOrDie(testing::kPaperProgram);
+  auto reversed = ParseOrDie(swapped);
+  auto a = CChase(declared->source, declared->lifted, &declared->universe);
+  auto b = CChase(reversed->source, reversed->lifted, &reversed->universe);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  const std::string rendered =
+      RenderConcreteInstance(a->target, declared->universe);
+  EXPECT_EQ(rendered, RenderConcreteInstance(b->target, reversed->universe));
+  EXPECT_NE(rendered.find("N1^[2013, 2015)"), std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find("N3"), std::string::npos) << rendered;
+  for (const CChaseOutcome* outcome : {&*a, &*b}) {
+    EXPECT_EQ(outcome->stats.tgd_triggers, 8u);
+    EXPECT_EQ(outcome->stats.tgd_fires, 5u);
+    EXPECT_EQ(outcome->stats.fresh_nulls, 2u);
+    EXPECT_EQ(outcome->stats.egd_steps, 0u);
+  }
 }
 
 TEST(CChaseTest, FailsOnConflictingConstants) {

@@ -145,9 +145,9 @@ INSTANTIATE_TEST_SUITE_P(AllSites, CChaseChaosTest,
 // ---------------------------------------------------------------------------
 
 TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
-  // The paper program needs 8 tgd fires end to end; cap at 5.
+  // The paper program needs 5 tgd fires end to end; cap at 4.
   ChaseLimits limits;
-  limits.max_tgd_fires = 5;
+  limits.max_tgd_fires = 4;
 
   auto program = ParseOrDie(kPaperProgram);
   Checkpointer checkpointer("", &program->schema, &program->universe);
@@ -163,8 +163,7 @@ TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
   EXPECT_EQ(aborted->abort_dimension, ResourceDimension::kTgdFires);
   ASSERT_TRUE(checkpointer.latest().has_value());
 
-  // Same limits on resume: the run still cannot afford the remaining work —
-  // a reset budget would have granted 5 fresh fires and finished.
+  // Same limits on resume: the run still cannot afford the remaining work.
   CChaseOptions same_budget;
   same_budget.limits = limits;
   same_budget.resume_from = &*checkpointer.latest();

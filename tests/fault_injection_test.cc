@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -14,6 +15,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/core/cchase.h"
+#include "src/core/certain.h"
 #include "src/core/naive_eval.h"
 #include "src/core/normalize.h"
 #include "src/core/normalize_detail.h"
@@ -204,10 +206,10 @@ TEST_F(FaultInjectionTest, UngovernedNormalizeIgnoresTheSite) {
 }
 
 // ---------------------------------------------------------------------------
-// Status-returning sites: naive evaluation and the parser
+// Naive evaluation, certain answers, and the parser's Status-returning site
 // ---------------------------------------------------------------------------
 
-TEST_F(FaultInjectionTest, NaiveEvalSiteReturnsTheArmedStatus) {
+TEST_F(FaultInjectionTest, NaiveEvalSiteTripsTheGuard) {
   auto program = ParseOrDie(kPaperProgram);
   auto chase = CChase(program->source, program->lifted, &program->universe, {});
   ASSERT_TRUE(chase.ok());
@@ -223,9 +225,12 @@ TEST_F(FaultInjectionTest, NaiveEvalSiteReturnsTheArmedStatus) {
       chase->target, {lifted->disjuncts[0].body}));
 
   ScopedFault fault("naive-eval/normalize", Injected());
-  auto answers = NaiveEvaluateConcrete(*lifted, chase->target);
+  ResourceGuard guard;
+  auto answers = NaiveEvaluateConcrete(*lifted, chase->target, &guard);
   ASSERT_FALSE(answers.ok());
-  EXPECT_EQ(answers.status(), Injected());
+  EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(guard.dimension(), ResourceDimension::kInjectedFault);
+  EXPECT_EQ(guard.reason(), Injected().ToString());
 }
 
 TEST_F(FaultInjectionTest, Algorithm1SiteAbortsACertifiedEvaluation) {
@@ -245,6 +250,51 @@ TEST_F(FaultInjectionTest, Algorithm1SiteAbortsACertifiedEvaluation) {
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
 }
+
+// Certain answers report a fault in the query's evaluation as an abort with
+// its dimension, like a fault in the chase, so `tdx_cli query` prints
+// "ABORTED (injected-fault): ..." and exits 4 for both sites.
+class CertainAnswersFaultTest
+    : public FaultInjectionTest,
+      public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(CertainAnswersFaultTest, EvaluationFaultAbortsWithItsDimension) {
+  const std::string_view site = GetParam();
+  auto program = ParseOrDie(kPaperProgram);
+  auto query = program->FindQuery("salaries");
+  ASSERT_TRUE(query.ok());
+  auto lifted = LiftUnionQuery(**query, program->schema);
+  ASSERT_TRUE(lifted.ok());
+
+  // Count the site's hits inside the chase (hits are counted while any
+  // site is armed), so the armed fault skips past them into evaluation.
+  std::size_t chase_hits = 0;
+  {
+    auto counting = ParseOrDie(kPaperProgram);
+    ScopedFault armed("test/never-hit", Injected());
+    auto chase = CChase(counting->source, counting->lifted,
+                        &counting->universe, {});
+    ASSERT_TRUE(chase.ok());
+    ASSERT_EQ(chase->kind, ChaseResultKind::kSuccess);
+    chase_hits = FaultRegistry::HitCount(site);
+  }
+  FaultRegistry::DisarmAll();
+
+  ScopedFault fault(site, Injected(), chase_hits);
+  auto result = CertainAnswers(*lifted, program->source, program->lifted,
+                               &program->universe);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->chase_kind, ChaseResultKind::kAborted);
+  EXPECT_EQ(result->abort_dimension, ResourceDimension::kInjectedFault);
+  EXPECT_EQ(result->abort_reason, Injected().ToString());
+  EXPECT_TRUE(result->answers.empty());
+  EXPECT_EQ(FaultRegistry::HitCount(site), chase_hits + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sites, CertainAnswersFaultTest,
+                         ::testing::Values("naive-eval/normalize",
+                                           "normalize/algorithm1"),
+                         SiteTestName);
 
 TEST_F(FaultInjectionTest, ParserSiteReturnsTheArmedStatus) {
   ScopedFault fault("parser/statement", Injected());

@@ -163,13 +163,29 @@ TEST(CChaseBudgetTest, TgdFireBudgetAborts) {
 }
 
 TEST(CChaseBudgetTest, EgdStepBudgetAborts) {
-  auto program = ParseOrDie(kPaperProgram);
-  // The unbudgeted run performs egd merges (sigma1's fresh salary nulls get
-  // equated with sigma2's concrete salaries); a zero budget must abort.
+  // The paper program merges nothing (its full sigma2 fires before
+  // sigma1 and witnesses it), so this mapping keeps the salary in a
+  // relation of its own: every Emp null is merged with a Sal constant.
+  constexpr std::string_view kMergingProgram = R"(
+    source E(name, company);
+    source S(name, salary);
+    target Emp(name, company, salary);
+    target Sal(name, salary);
+    tgd E(n, c) -> exists s: Emp(n, c, s);
+    tgd S(n, s) -> Sal(n, s);
+    egd Emp(n, c, s) & Sal(n, s2) -> s = s2;
+    fact E("Ada", "IBM") @ [2012, 2014);
+    fact E("Bob", "IBM") @ [2013, 2018);
+    fact S("Ada", "18k") @ [2013, inf);
+    fact S("Bob", "13k") @ [2015, inf);
+  )";
+  auto program = ParseOrDie(kMergingProgram);
+  // The unbudgeted run performs egd merges (the fresh salary nulls get
+  // equated with the concrete salaries); a zero budget must abort.
   const CChaseOutcome full = CChaseWithLimits(*program, ChaseLimits{});
   ASSERT_GT(full.stats.egd_steps, 0u);
 
-  auto rerun = ParseOrDie(kPaperProgram);
+  auto rerun = ParseOrDie(kMergingProgram);
   ChaseLimits limits;
   limits.max_egd_steps = 0;
   const CChaseOutcome outcome = CChaseWithLimits(*rerun, limits);
@@ -262,9 +278,12 @@ TEST(SnapshotChaseBudgetTest, EachDimensionAborts) {
     c.want = ResourceDimension::kFacts;
     cases.push_back(c);
   }
+  // At 2014 Bob works at IBM with no salary on record, so sigma1 still
+  // mints a null after sigma2's one fire (Ada at Google): every dimension
+  // is reached. At 2015 sigma2 witnesses every sigma1 trigger.
   for (const Case& c : cases) {
     auto program = ParseOrDie(kPaperProgram);
-    auto snapshot = SnapshotAt(program->source, 2015, &program->universe);
+    auto snapshot = SnapshotAt(program->source, 2014, &program->universe);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     auto outcome = ChaseSnapshot(*snapshot, program->mapping,
                                  &program->universe, c.limits);
@@ -416,6 +435,21 @@ TEST(ResourceLedgerTest, ResumedGuardShrinksDeadline) {
   EXPECT_TRUE(exhausted.tripped());
   EXPECT_EQ(exhausted.dimension(), ResourceDimension::kWallClock);
   EXPECT_FALSE(exhausted.CheckDeadline());
+}
+
+TEST(ResourceLedgerTest, OnlyACarriedDeadlineWasSpentBeforeResume) {
+  ChaseLimits limits;
+  limits.deadline = std::chrono::milliseconds(0);
+  // A fresh run with a zero deadline resumes nothing.
+  ResourceGuard fresh(limits);
+  EXPECT_TRUE(fresh.tripped());
+  EXPECT_EQ(fresh.reason(), "wall-clock deadline of 0ms exceeded");
+
+  ResourceLedger consumed;
+  consumed.elapsed = std::chrono::milliseconds(3);
+  ResourceGuard resumed(limits, consumed);
+  EXPECT_EQ(resumed.reason(),
+            "wall-clock deadline of 0ms already consumed before resume");
 }
 
 TEST(ResourceLedgerTest, ConsumedCarriesPriorElapsedForward) {

@@ -226,13 +226,17 @@ TEST_F(CascadeFixture, DeltaFrontierBookkeeping) {
 }
 
 TEST_F(CascadeFixture, ValuesRewrittenSurfacesEgdWork) {
-  // Two tgds disagree on who fills the Hop endpoint; the egd merges a null
-  // with a constant, and the rewrite work must show up in the new counter.
+  // One tgd leaves the salary open, another copies it into Sal; the egd
+  // merges the null with the constant, and the rewrite work must show up in
+  // the new counter. Sal's tgd fires first (it is full) but cannot witness
+  // Emp's head, so the existential tgd still mints the null the egd merges.
   Schema schema;
   const RelationId e = *schema.AddRelation("E", {"n", "c"}, SchemaRole::kSource);
   const RelationId s = *schema.AddRelation("S", {"n", "s"}, SchemaRole::kSource);
   const RelationId emp =
       *schema.AddRelation("Emp", {"n", "c", "s"}, SchemaRole::kTarget);
+  const RelationId sal =
+      *schema.AddRelation("Sal", {"n", "s"}, SchemaRole::kTarget);
   Mapping mapping;
   {  // E(n, c) -> exists s: Emp(n, c, s)
     Tgd t;
@@ -243,19 +247,18 @@ TEST_F(CascadeFixture, ValuesRewrittenSurfacesEgdWork) {
     t.existential.push_back(2);
     mapping.st_tgds.push_back(t);
   }
-  {  // E(n, c) & S(n, s) -> Emp(n, c, s)
+  {  // S(n, s) -> Sal(n, s)
     Tgd t;
-    t.body.atoms.push_back({e, {Term::Var(0), Term::Var(1)}});
-    t.body.atoms.push_back({s, {Term::Var(0), Term::Var(2)}});
-    t.body.num_vars = 3;
-    t.head.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(2)}});
-    t.head.num_vars = 3;
+    t.body.atoms.push_back({s, {Term::Var(0), Term::Var(1)}});
+    t.body.num_vars = 2;
+    t.head.atoms.push_back({sal, {Term::Var(0), Term::Var(1)}});
+    t.head.num_vars = 2;
     mapping.st_tgds.push_back(t);
   }
-  {  // Emp(n, c, s) & Emp(n, c, s2) -> s = s2
+  {  // Emp(n, c, s) & Sal(n, s2) -> s = s2
     Egd egd;
     egd.body.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(2)}});
-    egd.body.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(3)}});
+    egd.body.atoms.push_back({sal, {Term::Var(0), Term::Var(3)}});
     egd.body.num_vars = 4;
     egd.x1 = 2;
     egd.x2 = 3;

@@ -441,11 +441,6 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
   auto result = tdx::CertainAnswers(*lifted, program.source, program.lifted,
                                     &program.universe, options.limits);
   if (!result.ok()) {
-    if (result.status().code() == tdx::StatusCode::kResourceExhausted ||
-        result.status().code() == tdx::StatusCode::kDeadlineExceeded) {
-      std::cout << "ABORTED: " << result.status().message() << "\n";
-      return kExitAborted;
-    }
     std::cerr << result.status() << "\n";
     return EXIT_FAILURE;
   }
